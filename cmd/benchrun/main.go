@@ -1,81 +1,31 @@
-// Command benchrun runs the repo's scan and concurrent-progressive
-// benchmarks and writes their results as machine-readable JSON, so the
-// performance trajectory is recorded per PR (BENCH_<n>.json at the repo
-// root) instead of living in scrollback.
+// Command benchrun records the repo's performance as a BENCH_<n>.json
+// artifact: the scan and concurrent-progressive go benchmarks plus the
+// in-process sweeps of the experiments.Sweeps registry.
 //
 // Usage:
 //
-//	go run ./cmd/benchrun -out BENCH_3.json
-//	go run ./cmd/benchrun -bench 'BenchmarkScan' -pkgs ./internal/engine -benchtime 10x
-//	go run ./cmd/benchrun -users 1,2,4,8 -users-engines progressive,exactdb
-//	go run ./cmd/benchrun -out BENCH_ci.json -compare BENCH_3.json -tolerance 0.25
+//	go run ./cmd/benchrun -out BENCH_10.json
+//	go run ./cmd/benchrun -out scan.json -bench BenchmarkScan -pkgs ./internal/engine -benchtime 10x
+//	go run ./cmd/benchrun -out ci.json -users 1,8 -engines progressive -compare BENCH_3.json -tolerance 0.25
 //
-// With -compare, benchrun additionally loads a baseline BENCH json and fails
-// (exit 1) if the fresh run regressed beyond -tolerance on a guarded metric:
-// first-snapshot latency, 8-user progressive throughput, the 8-user speedup
-// over sequential replay and the shared-scan speedup over independent
-// gathers. Values are only compared when the baseline was recorded on
-// comparable hardware (same GOOS/GOARCH/CPU count — even the speedup ratios
-// shift with core count); across differing hosts the guard still fails if a
-// guarded metric vanished from the fresh run, so CI always proves the
-// benchmarks run and regenerate every number. This is the perf-regression
-// gate.
+// -sweeps lists the sweeps to run (users, ingest, shards, elastic,
+// overload, restart); "auto" runs all of them unless -bench or -pkgs
+// narrows the run to micro-benchmarks. -users and -engines override the
+// users and ingest sweeps' axes. Each sweep prints its table; a point that
+// fails one of its gates fails the run (exit 1) after the artifact is
+// written.
 //
-// The output records every benchmark line (name, iterations, ns/op, and any
-// custom metrics such as Mrows/s or B/op) plus derived speedups for
-// benchmark groups that publish a baseline variant (e.g.
-// BenchmarkProgressiveConcurrent8/shared vs .../independent_gather).
+// The artifact is schema 2: host fields, "benchmarks", "speedups" and
+// "sweeps": {name: [{"labels": {...}, "metrics": {...}, "gates": {...}}]}.
+// Metric keys are the schema-1 JSON names, and a NaN metric is null.
+// Schema-1 artifacts (BENCH_2..9: a *_sweep array per sweep plus the
+// restart object) load into the same points, so -compare reads both.
 //
-// With -users, benchrun additionally runs the multi-user scalability sweep
-// in-process (internal/experiments.UserSweepUsers): each user count U
-// replays U mixed workflows as U concurrent simulated users over one
-// prepared engine, recording aggregate throughput, latency percentiles and
-// the speedup against sequentially replaying the same workflows on one
-// session.
-//
-// With -ingest (default: mirrors -users), benchrun also runs the
-// live-ingestion sweep (internal/experiments.IngestSweepUsers): the same
-// user counts replay ingest-interleaved workflows while append-only batches
-// land, recording ingest throughput, deadline-violation rate and the
-// staleness distribution — and failing the artifact outright if any point's
-// quiesced results are not bitwise-identical to a cold prepare over the
-// final table.
-//
-// With -restart (default: runs whenever -users runs), benchrun also runs the
-// durable warm-restart benchmark (internal/experiments.RestartBench): a data
-// directory is bootstrapped, grown by WAL-logged ingest batches with a
-// mid-run checkpoint, and recovered; the artifact records cold
-// datagen+prepare vs warm checkpoint-load+reordered-prepare+WAL-replay and
-// fails unless the recovered state is bitwise-correct and the warm boot
-// beats the cold one.
-//
-// With -shards (default: runs whenever -users runs), benchrun also runs the
-// scatter-gather scaling sweep (internal/experiments.ShardSweepCounts): the
-// same ingest-interleaved multi-user replay runs against a single-node
-// progressive engine and against an in-process coordinator over N
-// progressive shard backends per count, recording prepare time, throughput,
-// latency percentiles and the per-point quiesce-bitwise gate — the sweep
-// fails the artifact if any topology's quiesced merged results are not
-// bitwise-identical to a cold exact scan of the final table.
-//
-// With -elastic (default: runs whenever -users runs), benchrun also runs
-// the availability-vs-dead-shards sweep (internal/experiments.ElasticSweep):
-// the same multi-user replay runs against a 2x2 replicated coordinator with
-// nothing dead, with one replica killed (the sibling must cover at full
-// coverage) and with a whole partition killed (answers must degrade to a
-// coverage-annotated fraction, never fail). Every fully-covered point must
-// pass the quiesce-bitwise gate; the sweep itself fails the artifact if a
-// replay errors or a scenario's coverage differs from what its injected
-// failure predicts.
-//
-// With -overload (default: mirrors -users), benchrun also runs the
-// open-loop overload sweep (internal/experiments.OverloadSweepRates): a
-// Poisson arrival generator walks an offered-load ladder against a served
-// progressive engine with tightened admission caps, recording p50/p99/p99.9
-// latency tails, explicit-rejection and shedding counts, and the post-drain
-// consumer leak check per rate. The artifact fails unless the shedding knee
-// appears inside the ladder, the admitted-query p99 stays bounded past it,
-// and no rate leaks a shared-scan consumer.
+// -compare fails the run when a guarded metric regressed beyond -tolerance
+// against the baseline. Values are compared only between comparable hosts,
+// but a guarded metric present in the baseline and missing from the fresh
+// run always fails: a guard that silently stops measuring is itself a
+// regression.
 package main
 
 import (
@@ -105,117 +55,19 @@ type Result struct {
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// IngestPoint is one measured point of the live-ingestion sweep: U users
-// replaying ingest-interleaved workflows while append-only batches land.
-type IngestPoint struct {
-	Engine           string  `json:"engine"`
-	Users            int     `json:"users"`
-	Queries          int     `json:"queries"`
-	TRViolatedPct    float64 `json:"tr_violated_pct"`
-	WallClockMS      float64 `json:"wall_clock_ms"`
-	QueriesPerSec    float64 `json:"queries_per_sec"`
-	IngestedRows     int64   `json:"ingested_rows"`
-	IngestRowsPerSec float64 `json:"ingest_rows_per_sec"`
-	FreshPct         float64 `json:"fresh_pct"`
-	StalenessMean    float64 `json:"staleness_mean_rows"`
-	StalenessMax     float64 `json:"staleness_max_rows"`
-	// QuiesceBitwise records the correctness gate: after every batch was
-	// absorbed, a fresh COUNT query was bitwise identical to a cold exact
-	// scan over the final table.
-	QuiesceBitwise bool `json:"quiesce_bitwise"`
-}
-
-// ShardPoint is one measured point of the scatter-gather scaling sweep:
-// the same ingest-aware multi-user replay over a single-node engine
-// ("single", shards 0) or an in-process coordinator over N shard backends
-// ("shardN").
-type ShardPoint struct {
-	Topology       string  `json:"topology"`
-	Shards         int     `json:"shards"`
-	Users          int     `json:"users"`
-	Queries        int     `json:"queries"`
-	TRViolatedPct  float64 `json:"tr_violated_pct"`
-	WallClockMS    float64 `json:"wall_clock_ms"`
-	QueriesPerSec  float64 `json:"queries_per_sec"`
-	P50MS          float64 `json:"p50_ms"`
-	P95MS          float64 `json:"p95_ms"`
-	P99MS          float64 `json:"p99_ms"`
-	PrepareMS      float64 `json:"prepare_ms"`
-	IngestedRows   int64   `json:"ingested_rows"`
-	QuiesceBitwise bool    `json:"quiesce_bitwise"`
-}
-
-// ElasticPoint is one measured point of the availability-vs-dead-shards
-// sweep: a replicated coordinator replaying the multi-user workload with a
-// progressively worse failure injected first.
-type ElasticPoint struct {
-	Scenario             string  `json:"scenario"`
-	Partitions           int     `json:"partitions"`
-	ReplicasPerPartition int     `json:"replicas_per_partition"`
-	DeadReplicas         int     `json:"dead_replicas"`
-	Users                int     `json:"users"`
-	Queries              int     `json:"queries"`
-	TRViolatedPct        float64 `json:"tr_violated_pct"`
-	WallClockMS          float64 `json:"wall_clock_ms"`
-	QueriesPerSec        float64 `json:"queries_per_sec"`
-	P50MS                float64 `json:"p50_ms"`
-	P95MS                float64 `json:"p95_ms"`
-	P99MS                float64 `json:"p99_ms"`
-	PrepareMS            float64 `json:"prepare_ms"`
-	PartitionsAnswered   int     `json:"partitions_answered"`
-	PartitionsTotal      int     `json:"partitions_total"`
-	PopulationFraction   float64 `json:"population_fraction"`
-	Degraded             bool    `json:"degraded"`
-	IngestedRows         int64   `json:"ingested_rows"`
-	// QuiesceBitwise is enforced on every fully-covered point; degraded
-	// points record false and are exempt (their honesty lives in the
-	// coverage fields, not in bitwise completeness).
-	QuiesceBitwise bool `json:"quiesce_bitwise"`
-}
-
-// UserPoint is one measured point of the multi-user scalability sweep.
-type UserPoint struct {
-	Engine              string  `json:"engine"`
-	Users               int     `json:"users"`
-	Queries             int     `json:"queries"`
-	TRViolatedPct       float64 `json:"tr_violated_pct"`
-	WallClockMS         float64 `json:"wall_clock_ms"`
-	QueriesPerSec       float64 `json:"queries_per_sec"`
-	P50MS               float64 `json:"p50_ms"`
-	P95MS               float64 `json:"p95_ms"`
-	P99MS               float64 `json:"p99_ms"`
-	SpeedupVs1User      float64 `json:"speedup_vs_1user"`
-	SequentialMS        float64 `json:"sequential_ms"`
-	SpeedupVsSequential float64 `json:"speedup_vs_sequential"`
-}
-
 // Output is the BENCH_<n>.json document.
 type Output struct {
-	GeneratedAt string             `json:"generated_at"`
-	GoVersion   string             `json:"go_version"`
-	GOOS        string             `json:"goos"`
-	GOARCH      string             `json:"goarch"`
-	NumCPU      int                `json:"num_cpu"`
-	BenchRegex  string             `json:"bench_regex"`
-	Benchtime   string             `json:"benchtime"`
-	Benchmarks  []Result           `json:"benchmarks"`
-	Speedups    map[string]float64 `json:"speedups,omitempty"`
-	UserSweep   []UserPoint        `json:"user_sweep,omitempty"`
-	IngestSweep []IngestPoint      `json:"ingest_sweep,omitempty"`
-	// ShardSweep is the scatter-gather scaling sweep: single-node baseline
-	// plus coordinator-over-N-shards per configured count.
-	ShardSweep []ShardPoint `json:"shard_sweep,omitempty"`
-	// ElasticSweep is the availability ladder over a replicated tier:
-	// nothing dead, one replica dead, one whole partition dead.
-	ElasticSweep []ElasticPoint `json:"elastic_sweep,omitempty"`
-	// OverloadSweep is the open-loop overload ladder; OverloadKnee the index
-	// of the first rate where admission control or shedding engaged (-1 when
-	// the sweep never saturated — which fails the artifact).
-	OverloadSweep []report.OverloadPoint `json:"overload_sweep,omitempty"`
-	OverloadKnee  int                    `json:"overload_knee,omitempty"`
-	// Restart is the durable warm-boot benchmark: cold datagen+prepare vs
-	// checkpoint-load+reordered-prepare+WAL-replay, with its bitwise gate.
-	Restart *experiments.RestartResult `json:"restart,omitempty"`
+	Schema      int                       `json:"schema"`
+	GeneratedAt string                    `json:"generated_at"`
+	GoVersion   string                    `json:"go_version"`
+	GOOS        string                    `json:"goos"`
+	GOARCH      string                    `json:"goarch"`
+	NumCPU      int                       `json:"num_cpu"`
+	BenchRegex  string                    `json:"bench_regex"`
+	Benchtime   string                    `json:"benchtime"`
+	Benchmarks  []Result                  `json:"benchmarks"`
+	Speedups    map[string]float64        `json:"speedups,omitempty"`
+	Sweeps      map[string][]report.Point `json:"sweeps,omitempty"`
 }
 
 // benchLine matches standard `go test -bench` output, e.g.
@@ -231,30 +83,73 @@ var baselinePairs = map[string]string{
 }
 
 func main() {
-	out := flag.String("out", "BENCH_9.json", "output JSON path")
-	bench := flag.String("bench", "BenchmarkScan|BenchmarkProgressiveConcurrent8|BenchmarkProgressiveFirstSnapshot|BenchmarkProgressivePrepare", "benchmark regex")
-	pkgs := flag.String("pkgs", "./internal/engine,./internal/engine/progressive", "comma-separated package list")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is benchrun with its arguments and output streams passed in; it
+// returns the exit code: 2 for a usage error, 1 for a failed run, gate or
+// guard.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("out", "", "output JSON path (required)")
+	bench := fs.String("bench", "BenchmarkScan|BenchmarkProgressiveConcurrent8|BenchmarkProgressiveFirstSnapshot|BenchmarkProgressivePrepare", "benchmark regex")
+	pkgs := fs.String("pkgs", "./internal/engine,./internal/engine/progressive", "comma-separated package list")
 	// A fixed iteration count beats go's time-based ramp-up for recorded
 	// artifacts: on small machines the 1-iteration calibration pass puts
 	// scheduler noise into the reported mean for fast benchmarks.
-	benchtime := flag.String("benchtime", "100x", "go test -benchtime value (empty: go default)")
-	users := flag.String("users", "auto", "comma-separated user counts for the multi-user sweep; empty skips, \"auto\" runs 1,2,4,8 only for full artifact runs (default -bench/-pkgs)")
-	usersEngines := flag.String("users-engines", "progressive,exactdb", "engines the user sweep contrasts")
-	usersRows := flag.Int("users-rows", core.SizeS, "dataset size for the user sweep")
-	ingestUsers := flag.String("ingest", "auto", "comma-separated user counts for the live-ingestion sweep; empty skips, \"auto\" mirrors -users")
-	shards := flag.String("shards", "auto", "comma-separated shard counts for the scatter-gather scaling sweep; empty skips, \"auto\" runs the default counts whenever -users runs")
-	overload := flag.String("overload", "auto", "comma-separated arrival-rate ladder (queries/s) for the open-loop overload sweep; empty skips, \"auto\" runs the default ladder whenever -users runs")
-	elastic := flag.String("elastic", "auto", "run the availability-vs-dead-shards sweep: \"auto\" (whenever -users runs), \"on\", or empty to skip")
-	restart := flag.String("restart", "auto", "run the durable warm-restart benchmark: \"auto\" (whenever -users runs), \"on\", or empty to skip")
-	compare := flag.String("compare", "", "baseline BENCH json to guard against (empty disables)")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed relative regression per guarded metric with -compare")
-	flag.Parse()
-	if *compare != "" && *compare == *out {
-		fmt.Fprintf(os.Stderr, "benchrun: -compare and -out are the same file %q; the fresh run would clobber its own baseline\n", *out)
-		os.Exit(1)
+	benchtime := fs.String("benchtime", "100x", "go test -benchtime value (empty: go default)")
+	sweeps := fs.String("sweeps", "auto", "comma-separated sweeps to run ("+strings.Join(experiments.SweepNames(), ", ")+"); \"auto\" runs all unless -bench or -pkgs is set")
+	users := fs.String("users", "", "comma-separated user counts of the users and ingest sweeps (default 1,2,4,8)")
+	engines := fs.String("engines", "", "comma-separated engines the users and ingest sweeps contrast (default progressive,exactdb)")
+	compare := fs.String("compare", "", "baseline BENCH json to guard against (empty disables)")
+	tolerance := fs.Float64("tolerance", 0.25, "allowed relative regression per guarded metric with -compare")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "benchrun: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	if *out == "" {
+		return usage("-out is required")
+	}
+	if *compare == *out {
+		return usage("-compare and -out are the same file %q; the fresh run would clobber its own baseline", *out)
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "benchrun: "+format+"\n", a...)
+		return 1
+	}
+
+	names := splitList(*sweeps)
+	if *sweeps == "auto" {
+		// A targeted micro-benchmark run should not silently multiply its
+		// wall-clock with in-process experiments.
+		names = experiments.SweepNames()
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "bench" || f.Name == "pkgs" {
+				names = nil
+			}
+		})
+	}
+	for _, name := range names {
+		if _, ok := experiments.Sweeps[name]; !ok {
+			return usage("unknown sweep %q", name)
+		}
+	}
+	cfg := experiments.Config{Rows: core.SizeS, Engines: splitList(*engines), Out: stdout}
+	for _, s := range splitList(*users) {
+		u, err := strconv.Atoi(s)
+		if err != nil || u < 1 {
+			return usage("bad user count %q", s)
+		}
+		cfg.Users = append(cfg.Users, u)
 	}
 
 	doc := Output{
+		Schema:      2,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
@@ -262,196 +157,76 @@ func main() {
 		NumCPU:      runtime.NumCPU(),
 		BenchRegex:  *bench,
 		Benchtime:   *benchtime,
+		Sweeps:      map[string][]report.Point{},
 	}
-	for _, pkg := range strings.Split(*pkgs, ",") {
-		pkg = strings.TrimSpace(pkg)
-		if pkg == "" {
-			continue
-		}
-		results, err := runPackage(pkg, *bench, *benchtime)
+	for _, pkg := range splitList(*pkgs) {
+		results, err := runPackage(pkg, *bench, *benchtime, stderr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrun: %s: %v\n", pkg, err)
-			os.Exit(1)
+			return fail("%s: %v", pkg, err)
 		}
 		doc.Benchmarks = append(doc.Benchmarks, results...)
 	}
 	doc.Speedups = deriveSpeedups(doc.Benchmarks)
 
-	userList := *users
-	if userList == "auto" {
-		// Full artifact runs get the sweep; a targeted micro-benchmark run
-		// (explicit -bench or -pkgs) should not silently multiply its
-		// wall-clock with an in-process experiment.
-		userList = "1,2,4,8"
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "bench" || f.Name == "pkgs" {
-				userList = ""
-			}
-		})
-	}
-	if userList != "" {
-		points, err := runUserSweep(userList, *usersEngines, *usersRows)
+	var gateErrs []error
+	for _, name := range names {
+		pts, err := experiments.RunSweep(name, cfg)
+		if pts == nil && err != nil {
+			return fail("%v", err)
+		}
+		doc.Sweeps[name] = pts
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrun: user sweep: %v\n", err)
-			os.Exit(1)
+			gateErrs = append(gateErrs, err)
 		}
-		doc.UserSweep = points
-	}
-	ingestList := *ingestUsers
-	if ingestList == "auto" {
-		ingestList = userList
-	}
-	if ingestList != "" {
-		points, err := runIngestSweep(ingestList, *usersEngines, *usersRows)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrun: ingest sweep: %v\n", err)
-			os.Exit(1)
-		}
-		doc.IngestSweep = points
-	}
-	shardList := *shards
-	if shardList == "auto" {
-		if userList == "" {
-			shardList = ""
-		} else {
-			shardList = "default"
-		}
-	}
-	if shardList != "" {
-		points, err := runShardSweep(shardList, *usersRows)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrun: shard sweep: %v\n", err)
-			os.Exit(1)
-		}
-		doc.ShardSweep = points
-	}
-	runElastic := *elastic == "on" || (*elastic == "auto" && userList != "")
-	if runElastic {
-		points, err := runElasticSweep(*usersRows)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrun: elastic sweep: %v\n", err)
-			os.Exit(1)
-		}
-		doc.ElasticSweep = points
-	}
-	overloadList := *overload
-	if overloadList == "auto" {
-		if userList == "" {
-			overloadList = ""
-		} else {
-			overloadList = "default"
-		}
-	}
-	if overloadList != "" {
-		points, err := runOverloadSweep(overloadList, *usersRows)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrun: overload sweep: %v\n", err)
-			os.Exit(1)
-		}
-		doc.OverloadSweep = points
-		doc.OverloadKnee = report.FindKnee(points)
-	}
-	runRestart := *restart == "on" || (*restart == "auto" && userList != "")
-	if runRestart {
-		r, err := experiments.RestartBench(experiments.Config{Rows: *usersRows, Out: io.Discard}, 10, *usersRows/100)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrun: restart bench: %v\n", err)
-			os.Exit(1)
-		}
-		doc.Restart = r
 	}
 
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchrun: %v\n", err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchrun: %v\n", err)
-		os.Exit(1)
+	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+		return fail("%v", err)
 	}
-	fmt.Printf("benchrun: wrote %d results to %s\n", len(doc.Benchmarks), *out)
+	fmt.Fprintf(stdout, "benchrun: wrote %d results to %s\n", len(doc.Benchmarks), *out)
 	for name, s := range doc.Speedups {
-		fmt.Printf("benchrun: speedup %s: %.2fx\n", name, s)
+		fmt.Fprintf(stdout, "benchrun: speedup %s: %.2fx\n", name, s)
 	}
-	for _, p := range doc.UserSweep {
-		fmt.Printf("benchrun: users %s u=%d: %.1f q/s, %.2fx vs sequential replay\n",
-			p.Engine, p.Users, p.QueriesPerSec, p.SpeedupVsSequential)
-	}
-	for _, p := range doc.IngestSweep {
-		fmt.Printf("benchrun: ingest %s u=%d: %.1f q/s, %.0f rows/s ingested, %.2f%% violations, bitwise=%v\n",
-			p.Engine, p.Users, p.QueriesPerSec, p.IngestRowsPerSec, p.TRViolatedPct, p.QuiesceBitwise)
-		if !p.QuiesceBitwise {
-			fmt.Fprintf(os.Stderr, "benchrun: FAIL ingest %s u=%d: quiesced results not bitwise-identical to cold prepare\n",
-				p.Engine, p.Users)
-			os.Exit(1)
+	if len(gateErrs) > 0 {
+		for _, err := range gateErrs {
+			fmt.Fprintf(stderr, "benchrun: FAIL %v\n", err)
 		}
-	}
-	for _, p := range doc.ShardSweep {
-		fmt.Printf("benchrun: shards %s u=%d: prepare %.1fms, %.1f q/s, p95 %.2fms, %d rows ingested, bitwise=%v\n",
-			p.Topology, p.Users, p.PrepareMS, p.QueriesPerSec, p.P95MS, p.IngestedRows, p.QuiesceBitwise)
-		if !p.QuiesceBitwise {
-			fmt.Fprintf(os.Stderr, "benchrun: FAIL shards %s u=%d: quiesced merged results not bitwise-identical to cold prepare\n",
-				p.Topology, p.Users)
-			os.Exit(1)
-		}
-	}
-	for _, p := range doc.ElasticSweep {
-		fmt.Printf("benchrun: elastic %s dead=%d: %d queries, p95 %.2fms, coverage %d/%d (%.2f), degraded=%v, bitwise=%v\n",
-			p.Scenario, p.DeadReplicas, p.Queries, p.P95MS, p.PartitionsAnswered, p.PartitionsTotal,
-			p.PopulationFraction, p.Degraded, p.QuiesceBitwise)
-		if !p.Degraded && !p.QuiesceBitwise {
-			fmt.Fprintf(os.Stderr, "benchrun: FAIL elastic %s: fully-covered point missed the quiesce-bitwise gate\n", p.Scenario)
-			os.Exit(1)
-		}
-	}
-	if doc.Restart != nil {
-		r := doc.Restart
-		fmt.Printf("benchrun: restart %d+%d rows: cold prepare %.1fms vs warm %.1fms (load %.1fms + replay %.1fms of %d batches), checkpoint %.1fms/%dB, bitwise=%v\n",
-			r.Rows, r.IngestedRows, r.ColdPrepareMS, r.WarmTotalMS, r.WarmLoadMS, r.WALReplayMS, r.Batches, r.CheckpointMS, r.CheckpointBytes, r.Bitwise)
-		if !r.Bitwise {
-			fmt.Fprintln(os.Stderr, "benchrun: FAIL restart: warm-recovered results not bitwise-identical to ground truth")
-			os.Exit(1)
-		}
-		if !r.WarmBeatsCold {
-			fmt.Fprintf(os.Stderr, "benchrun: FAIL restart: warm boot %.1fms is not faster than cold prepare %.1fms\n", r.WarmTotalMS, r.ColdPrepareMS)
-			os.Exit(1)
-		}
-	}
-	if len(doc.OverloadSweep) > 0 {
-		for _, p := range doc.OverloadSweep {
-			fmt.Printf("benchrun: overload %.0f/s: offered=%d done=%d rejected=%.1f%% shed=%d done_p99=%.1fms p99.9=%.1fms leaked=%d\n",
-				p.Rate, p.Offered, p.Completed, p.RejectedPct, p.Shed, p.DoneP99, p.DoneP999, p.LeakedConsumers)
-		}
-		if failures := overloadGate(doc.OverloadSweep, doc.OverloadKnee); len(failures) > 0 {
-			for _, f := range failures {
-				fmt.Fprintf(os.Stderr, "benchrun: FAIL overload: %s\n", f)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("benchrun: overload knee at %.0f/s; admitted p99 bounded past it, 0 leaked consumers\n",
-			doc.OverloadSweep[doc.OverloadKnee].Rate)
+		return 1
 	}
 
 	if *compare != "" {
-		base, err := loadOutput(*compare)
+		base, err := readOutput(*compare)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrun: compare: %v\n", err)
-			os.Exit(1)
+			return fail("compare: %v", err)
 		}
-		if failures := compareGuard(base, &doc, *tolerance); len(failures) > 0 {
+		if failures := compareGuard(base, &doc, *tolerance, stdout); len(failures) > 0 {
 			for _, f := range failures {
-				fmt.Fprintf(os.Stderr, "benchrun: REGRESSION %s\n", f)
+				fmt.Fprintf(stderr, "benchrun: REGRESSION %s\n", f)
 			}
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("benchrun: no regression beyond %.0f%% vs %s\n", *tolerance*100, *compare)
+		fmt.Fprintf(stdout, "benchrun: no regression beyond %.0f%% vs %s\n", *tolerance*100, *compare)
 	}
+	return 0
 }
 
-// loadOutput reads a previously written BENCH json.
-func loadOutput(path string) (*Output, error) {
+// splitList splits a comma-separated flag value, dropping blank entries.
+func splitList(s string) []string {
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// readOutput reads a BENCH json of either schema.
+func readOutput(path string) (*Output, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -460,84 +235,125 @@ func loadOutput(path string) (*Output, error) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	if doc.Schema < 2 {
+		if doc.Sweeps, err = sweepsV1(data); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+	}
 	return &doc, nil
 }
 
-// guardMetric is one -compare check. higherIsBetter metrics fail when fresh
-// < base*(1-tol); lower-is-better ones when fresh > base*(1+tol).
-type guardMetric struct {
-	name           string
+// v1Sweeps maps each schema-1 key to the sweep that now records it.
+var v1Sweeps = map[string]string{
+	"user_sweep":     "users",
+	"ingest_sweep":   "ingest",
+	"shard_sweep":    "shards",
+	"elastic_sweep":  "elastic",
+	"overload_sweep": "overload",
+	"restart":        "restart",
+}
+
+// sweepsV1 turns a schema-1 document's typed sweep rows into points: a
+// sweep's label keys become labels and every other field a metric, with
+// booleans as 1/0. The top-level overload_knee is dropped; report.FindKnee
+// derives it from the points.
+func sweepsV1(data []byte) (map[string][]report.Point, error) {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return nil, err
+	}
+	sweeps := map[string][]report.Point{}
+	for key, name := range v1Sweeps {
+		msg, ok := raw[key]
+		if !ok {
+			continue
+		}
+		var rows []map[string]any
+		if key == "restart" {
+			msg = append(append([]byte("["), msg...), ']')
+		}
+		if err := json.Unmarshal(msg, &rows); err != nil {
+			return nil, fmt.Errorf("%s: %w", key, err)
+		}
+		isLabel := map[string]bool{}
+		for _, l := range experiments.Sweeps[name].Labels {
+			isLabel[l] = true
+		}
+		for _, row := range rows {
+			p := report.Point{Labels: map[string]string{}, Metrics: map[string]float64{}}
+			for k, v := range row {
+				switch v := v.(type) {
+				case string:
+					p.Labels[k] = v
+				case bool:
+					p.Metrics[k] = report.BoolMetric(v)
+				case float64:
+					if isLabel[k] {
+						p.Labels[k] = strconv.FormatFloat(v, 'f', -1, 64)
+					} else {
+						p.Metrics[k] = v
+					}
+				}
+			}
+			sweeps[name] = append(sweeps[name], p)
+		}
+	}
+	return sweeps, nil
+}
+
+// guard is one -compare check: metric of the first point of sweep whose
+// labels include labels. higherIsBetter metrics fail when fresh <
+// base*(1-tol); lower-is-better ones when fresh > base*(1+tol).
+type guard struct {
+	sweep          string
+	labels         map[string]string
+	metric         string
 	higherIsBetter bool
-	extract        func(*Output) (float64, bool)
 }
 
-// guardMetrics are the regression-guard checks: the two headline numbers
-// the serving layer depends on (first-snapshot latency, 8-user throughput)
-// plus their host-normalized ratio forms.
-var guardMetrics = []guardMetric{
-	{
-		name: "first_snapshot_ns (BenchmarkProgressiveFirstSnapshot/shared)",
-		extract: func(o *Output) (float64, bool) {
-			for _, b := range o.Benchmarks {
-				if b.Name == "BenchmarkProgressiveFirstSnapshot/shared" {
-					return b.NsPerOp, true
-				}
-			}
-			return 0, false
-		},
-	},
-	{
-		name: "users8_queries_per_sec (progressive)", higherIsBetter: true,
-		extract: func(o *Output) (float64, bool) {
-			return userSweepMetric(o, func(p UserPoint) float64 { return p.QueriesPerSec })
-		},
-	},
-	{
-		name: "users8_speedup_vs_sequential (progressive)", higherIsBetter: true,
-		extract: func(o *Output) (float64, bool) {
-			return userSweepMetric(o, func(p UserPoint) float64 { return p.SpeedupVsSequential })
-		},
-	},
-	{
-		name: "concurrent8_shared_vs_independent_gather", higherIsBetter: true,
-		extract: func(o *Output) (float64, bool) {
-			v, ok := o.Speedups["BenchmarkProgressiveConcurrent8/shared_vs_independent_gather"]
+var progressive8 = map[string]string{"engine": "progressive", "users": "8"}
+
+// guards are the regression checks: the two headline numbers the serving
+// layer depends on (first-snapshot latency, 8-user throughput), their
+// host-normalized ratio forms, the coordinator's merged throughput at the
+// largest shard count and 8-user ingest throughput. Baselines recorded
+// before a sweep existed skip its guards.
+var guards = []guard{
+	{"benchmarks", map[string]string{"name": "BenchmarkProgressiveFirstSnapshot/shared"}, "ns_per_op", false},
+	{"users", progressive8, "queries_per_sec", true},
+	{"users", progressive8, "speedup_vs_sequential", true},
+	{"speedups", nil, "BenchmarkProgressiveConcurrent8/shared_vs_independent_gather", true},
+	{"shards", map[string]string{"topology": "shard4"}, "queries_per_sec", true},
+	{"ingest", progressive8, "ingest_rows_per_sec", true},
+}
+
+func (g guard) String() string {
+	return fmt.Sprintf("%s{%s}.%s", g.sweep, report.LabelString(g.labels), g.metric)
+}
+
+// value looks the guarded metric up in o. The go benchmarks read as points
+// labelled by name with an ns_per_op metric, and the speedups as one
+// unlabelled point.
+func (g guard) value(o *Output) (float64, bool) {
+	var pts []report.Point
+	switch g.sweep {
+	case "benchmarks":
+		for _, b := range o.Benchmarks {
+			pts = append(pts, report.Point{Labels: map[string]string{"name": b.Name}, Metrics: map[string]float64{"ns_per_op": b.NsPerOp}})
+		}
+	case "speedups":
+		pts = []report.Point{{Metrics: o.Speedups}}
+	default:
+		pts = o.Sweeps[g.sweep]
+	}
+	for _, p := range pts {
+		match := true
+		for k, v := range g.labels {
+			match = match && p.Labels[k] == v
+		}
+		if match {
+			v, ok := p.Metrics[g.metric]
 			return v, ok
-		},
-	},
-	{
-		// The coordinator's merged throughput must not collapse relative to
-		// earlier artifacts; baselines without a shard sweep skip this.
-		name: "shards_coordinator_queries_per_sec (largest count)", higherIsBetter: true,
-		extract: func(o *Output) (float64, bool) {
-			best := -1
-			v := 0.0
-			for _, p := range o.ShardSweep {
-				if p.Shards > best {
-					best = p.Shards
-					v = p.QueriesPerSec
-				}
-			}
-			return v, best > 0
-		},
-	},
-	{
-		name: "users8_ingest_rows_per_sec (progressive)", higherIsBetter: true,
-		extract: func(o *Output) (float64, bool) {
-			for _, p := range o.IngestSweep {
-				if p.Engine == "progressive" && p.Users == 8 {
-					return p.IngestRowsPerSec, true
-				}
-			}
-			return 0, false
-		},
-	},
-}
-
-func userSweepMetric(o *Output, f func(UserPoint) float64) (float64, bool) {
-	for _, p := range o.UserSweep {
-		if p.Engine == "progressive" && p.Users == 8 {
-			return f(p), true
 		}
 	}
 	return 0, false
@@ -551,312 +367,68 @@ func comparableHosts(a, b *Output) bool {
 }
 
 // compareGuard returns a description per guarded metric that regressed
-// beyond tol. Metrics absent from the baseline are skipped (older
-// artifacts); metrics present in the baseline but missing fresh fail on any
-// host — a guard that silently stops measuring is itself a regression.
-// Metric *values* are only compared between comparable hosts: absolute
-// latencies/throughput obviously shift with hardware, and even the speedup
-// ratios depend on CPU count (on one core the shared scan amortizes a
-// serial memory pass; on four, the independent baseline parallelizes), so a
-// cross-host value comparison would flag hardware, not code.
-func compareGuard(base, fresh *Output, tol float64) []string {
+// beyond tol, logging each check to log. Metrics absent from the baseline
+// are skipped (older artifacts); metrics present in the baseline but
+// missing fresh fail on any host. Metric *values* are only compared between
+// comparable hosts: absolute latencies/throughput obviously shift with
+// hardware, and even the speedup ratios depend on CPU count (on one core
+// the shared scan amortizes a serial memory pass; on four, the independent
+// baseline parallelizes), so a cross-host value comparison would flag
+// hardware, not code.
+func compareGuard(base, fresh *Output, tol float64, log io.Writer) []string {
 	hostOK := comparableHosts(base, fresh)
 	if !hostOK {
-		fmt.Printf("benchrun: baseline host %s/%s/%dcpu differs from %s/%s/%dcpu; enforcing metric presence only\n",
+		fmt.Fprintf(log, "benchrun: baseline host %s/%s/%dcpu differs from %s/%s/%dcpu; enforcing metric presence only\n",
 			base.GOOS, base.GOARCH, base.NumCPU, fresh.GOOS, fresh.GOARCH, fresh.NumCPU)
 	}
 	var failures []string
-	for _, g := range guardMetrics {
-		bv, ok := g.extract(base)
+	for _, g := range guards {
+		bv, ok := g.value(base)
 		if !ok || bv == 0 {
-			fmt.Printf("benchrun: baseline lacks %s; skipping\n", g.name)
+			fmt.Fprintf(log, "benchrun: baseline lacks %s; skipping\n", g)
 			continue
 		}
-		fv, ok := g.extract(fresh)
+		fv, ok := g.value(fresh)
 		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: missing from fresh run (baseline %.4g)", g.name, bv))
+			failures = append(failures, fmt.Sprintf("%s: missing from fresh run (baseline %.4g)", g, bv))
 			continue
 		}
 		if !hostOK {
-			fmt.Printf("benchrun: %s: fresh %.4g present (baseline %.4g; hosts differ, value not compared)\n", g.name, fv, bv)
+			fmt.Fprintf(log, "benchrun: %s: fresh %.4g present (baseline %.4g; hosts differ, value not compared)\n", g, fv, bv)
 			continue
 		}
-		var bad bool
+		bad, dir := fv > bv*(1+tol), "≥"
 		if g.higherIsBetter {
-			bad = fv < bv*(1-tol)
-		} else {
-			bad = fv > bv*(1+tol)
+			bad, dir = fv < bv*(1-tol), "≤"
 		}
-		dir := "≥"
-		if g.higherIsBetter {
-			dir = "≤"
-		}
-		fmt.Printf("benchrun: %s: fresh %.4g vs base %.4g (fail when %s %.0f%% off)\n", g.name, fv, bv, dir, tol*100)
+		fmt.Fprintf(log, "benchrun: %s: fresh %.4g vs base %.4g (fail when %s %.0f%% off)\n", g, fv, bv, dir, tol*100)
 		if bad {
-			failures = append(failures, fmt.Sprintf("%s: fresh %.4g vs baseline %.4g exceeds %.0f%% tolerance", g.name, fv, bv, tol*100))
+			failures = append(failures, fmt.Sprintf("%s: fresh %.4g vs baseline %.4g exceeds %.0f%% tolerance", g, fv, bv, tol*100))
 		}
 	}
 	return failures
-}
-
-// runUserSweep executes the multi-user scalability sweep in-process.
-func runUserSweep(userList, engines string, rows int) ([]UserPoint, error) {
-	var counts []int
-	for _, s := range strings.Split(userList, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		u, err := strconv.Atoi(s)
-		if err != nil || u < 1 {
-			return nil, fmt.Errorf("bad user count %q", s)
-		}
-		counts = append(counts, u)
-	}
-	cfg := experiments.Config{Rows: rows, Out: io.Discard}
-	for _, e := range strings.Split(engines, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			cfg.Engines = append(cfg.Engines, e)
-		}
-	}
-	sweep, err := experiments.UserSweepUsers(cfg, counts)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]UserPoint, len(sweep))
-	for i, r := range sweep {
-		points[i] = UserPoint{
-			Engine:              r.Driver,
-			Users:               r.Users,
-			Queries:             r.Queries,
-			TRViolatedPct:       r.TRViolatedPct,
-			WallClockMS:         r.WallClockMS,
-			QueriesPerSec:       r.QueriesPerSec,
-			P50MS:               r.Latency.P50,
-			P95MS:               r.Latency.P95,
-			P99MS:               r.Latency.P99,
-			SpeedupVs1User:      r.SpeedupVs1,
-			SequentialMS:        r.SequentialMS,
-			SpeedupVsSequential: r.SpeedupVsSequential,
-		}
-	}
-	return points, nil
-}
-
-// runIngestSweep executes the live-ingestion sweep in-process and fails the
-// artifact when a point misses its quiesce correctness gate.
-func runIngestSweep(userList, engines string, rows int) ([]IngestPoint, error) {
-	var counts []int
-	for _, s := range strings.Split(userList, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		u, err := strconv.Atoi(s)
-		if err != nil || u < 1 {
-			return nil, fmt.Errorf("bad user count %q", s)
-		}
-		counts = append(counts, u)
-	}
-	cfg := experiments.Config{Rows: rows, Out: io.Discard}
-	for _, e := range strings.Split(engines, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			cfg.Engines = append(cfg.Engines, e)
-		}
-	}
-	sweep, err := experiments.IngestSweepUsers(cfg, counts)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]IngestPoint, len(sweep))
-	for i, r := range sweep {
-		points[i] = IngestPoint{
-			Engine:           r.Driver,
-			Users:            r.Users,
-			Queries:          r.Queries,
-			TRViolatedPct:    r.TRViolatedPct,
-			WallClockMS:      r.WallClockMS,
-			QueriesPerSec:    r.QueriesPerSec,
-			IngestedRows:     r.IngestedRows,
-			IngestRowsPerSec: r.IngestRowsPerSec,
-			FreshPct:         nanToZero(r.FreshPct),
-			StalenessMean:    nanToZero(r.StalenessMean),
-			StalenessMax:     nanToZero(r.StalenessMax),
-			QuiesceBitwise:   r.BitwiseOK,
-		}
-	}
-	return points, nil
-}
-
-// runShardSweep executes the scatter-gather scaling sweep in-process.
-// shardList is "default" for experiments.DefaultShardCounts or explicit
-// comma-separated counts.
-func runShardSweep(shardList string, rows int) ([]ShardPoint, error) {
-	counts := experiments.DefaultShardCounts
-	if shardList != "default" {
-		counts = nil
-		for _, s := range strings.Split(shardList, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
-			}
-			n, err := strconv.Atoi(s)
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("bad shard count %q", s)
-			}
-			counts = append(counts, n)
-		}
-	}
-	cfg := experiments.Config{Rows: rows, Out: io.Discard}
-	sweep, err := experiments.ShardSweepCounts(cfg, counts, 4)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]ShardPoint, len(sweep))
-	for i, r := range sweep {
-		points[i] = ShardPoint{
-			Topology:       r.Topology,
-			Shards:         r.Shards,
-			Users:          r.Users,
-			Queries:        r.Queries,
-			TRViolatedPct:  r.TRViolatedPct,
-			WallClockMS:    r.WallClockMS,
-			QueriesPerSec:  r.QueriesPerSec,
-			P50MS:          r.P50MS,
-			P95MS:          r.P95MS,
-			P99MS:          r.P99MS,
-			PrepareMS:      r.PrepareMS,
-			IngestedRows:   r.IngestedRows,
-			QuiesceBitwise: r.BitwiseOK,
-		}
-	}
-	return points, nil
-}
-
-// runElasticSweep executes the availability ladder in-process. Scenario
-// shape (2x2 tier, failure ladder) is fixed by experiments.ElasticSweep;
-// replay errors and coverage mismatches fail inside the sweep itself.
-func runElasticSweep(rows int) ([]ElasticPoint, error) {
-	sweep, err := experiments.ElasticSweep(experiments.Config{Rows: rows, Out: io.Discard})
-	if err != nil {
-		return nil, err
-	}
-	points := make([]ElasticPoint, len(sweep))
-	for i, r := range sweep {
-		points[i] = ElasticPoint{
-			Scenario:             r.Scenario,
-			Partitions:           r.Partitions,
-			ReplicasPerPartition: r.ReplicasPerPartition,
-			DeadReplicas:         r.DeadReplicas,
-			Users:                r.Users,
-			Queries:              r.Queries,
-			TRViolatedPct:        r.TRViolatedPct,
-			WallClockMS:          r.WallClockMS,
-			QueriesPerSec:        r.QueriesPerSec,
-			P50MS:                r.P50MS,
-			P95MS:                r.P95MS,
-			P99MS:                r.P99MS,
-			PrepareMS:            r.PrepareMS,
-			PartitionsAnswered:   r.PartitionsAnswered,
-			PartitionsTotal:      r.PartitionsTotal,
-			PopulationFraction:   r.PopulationFraction,
-			Degraded:             r.Degraded,
-			IngestedRows:         r.IngestedRows,
-			QuiesceBitwise:       r.BitwiseOK,
-		}
-	}
-	return points, nil
-}
-
-// maxDoneP99PastKnee is the overload gate's ceiling on admitted-query
-// time-to-final p99 at and past the shedding knee, milliseconds. Deadline
-// shedding cancels admitted queries a couple of deadlines after admission,
-// so even at 30x the capacity rate the tail must stay far under the load
-// generator's 2s hard timeout.
-const maxDoneP99PastKnee = 1500.0
-
-// overloadGate returns the failed overload-survival acceptance checks: the
-// knee must appear inside the ladder with explicit rejections or shedding,
-// admitted-query p99 must stay bounded past it, and no rate may leak a
-// shared-scan consumer.
-func overloadGate(points []report.OverloadPoint, knee int) []string {
-	var failures []string
-	if knee < 0 {
-		failures = append(failures, "no shedding knee inside the rate ladder: overload valves never engaged")
-	}
-	for _, p := range points {
-		if p.LeakedConsumers != 0 {
-			failures = append(failures, fmt.Sprintf("rate %.0f/s leaked %d scan consumers after drain", p.Rate, p.LeakedConsumers))
-		}
-		if p.Errors > 0 {
-			failures = append(failures, fmt.Sprintf("rate %.0f/s saw %d hard errors (overload must reject explicitly, not error)", p.Rate, p.Errors))
-		}
-	}
-	if knee >= 0 {
-		for _, p := range points[knee:] {
-			if p.Completed > 0 && p.DoneP99 > maxDoneP99PastKnee {
-				failures = append(failures, fmt.Sprintf("rate %.0f/s admitted done-p99 %.1fms exceeds %.0fms: shedding is not bounding the tail", p.Rate, p.DoneP99, maxDoneP99PastKnee))
-			}
-		}
-	}
-	return failures
-}
-
-// runOverloadSweep executes the open-loop overload ladder in-process.
-// rateList is "default" or comma-separated arrival rates per second.
-func runOverloadSweep(rateList string, rows int) ([]report.OverloadPoint, error) {
-	rates := experiments.DefaultOverloadRates
-	if rateList != "default" {
-		rates = nil
-		for _, s := range strings.Split(rateList, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
-			}
-			r, err := strconv.ParseFloat(s, 64)
-			if err != nil || r <= 0 {
-				return nil, fmt.Errorf("bad overload rate %q", s)
-			}
-			rates = append(rates, r)
-		}
-	}
-	points, err := experiments.OverloadSweepRates(experiments.Config{Rows: rows, Out: io.Discard}, rates, 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	// NaN tails (a rate where nothing completed) would break json.Marshal.
-	for i := range points {
-		p := &points[i]
-		for _, f := range []*float64{&p.TTFSP50, &p.TTFSP99, &p.TTFSP999, &p.DoneP50, &p.DoneP99, &p.DoneP999} {
-			*f = nanToZero(*f)
-		}
-	}
-	return points, nil
-}
-
-// nanToZero keeps the artifact JSON-marshalable (NaN means "no staleness
-// samples", which only happens when nothing was delivered).
-func nanToZero(v float64) float64 {
-	if v != v {
-		return 0
-	}
-	return v
 }
 
 // runPackage executes the benchmarks of one package and parses the output.
-func runPackage(pkg, bench, benchtime string) ([]Result, error) {
+func runPackage(pkg, bench, benchtime string, stderr io.Writer) ([]Result, error) {
 	args := []string{"test", pkg, "-run", "^$", "-bench", bench}
 	if benchtime != "" {
 		args = append(args, "-benchtime", benchtime)
 	}
 	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = stderr
 	outBytes, err := cmd.Output()
 	if err != nil {
 		return nil, fmt.Errorf("go test: %w\n%s", err, outBytes)
 	}
+	return parseBench(pkg, string(outBytes)), nil
+}
+
+// parseBench extracts the benchmark lines of one package's `go test
+// -bench` output.
+func parseBench(pkg, output string) []Result {
 	var results []Result
-	for _, line := range strings.Split(string(outBytes), "\n") {
+	for _, line := range strings.Split(output, "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
 			continue
@@ -871,7 +443,7 @@ func runPackage(pkg, bench, benchtime string) ([]Result, error) {
 			Metrics:    parseMetrics(m[4]),
 		})
 	}
-	return results, nil
+	return results
 }
 
 // parseMetrics turns the "12.3 unit 4 B/op" tail into a map.

@@ -25,9 +25,11 @@
 //	idebench run         -addr localhost:8373 -rows 500000 -users 4 -ingest-every 3
 //	idebench load        -addr localhost:8373 -rows 500000 -schedule ramp -rate 50 -rate2 2000
 //	idebench exp         -name fig5 [-rows 500000] [-quick]
-//	idebench exp         -name users
-//	idebench exp         -name ingest
-//	idebench exp         -name overload
+//	idebench exp         -name users|ingest|shards|elastic|overload|restart
+//
+// `exp -name <sweep>` runs one sweep of the experiments.Sweeps registry,
+// prints its table and fails when a point fails one of the sweep's gates
+// (the same gates cmd/benchrun enforces).
 //
 // `run -users N` replays the workload as N concurrent simulated users, each
 // on its own engine session, and appends the user-scalability table
@@ -211,7 +213,7 @@ Commands:
   probe        run one COUNT against a server and assert its coverage outcome (CI primitive)
   load         drive a server with open-loop load (poisson/bursty/ramp arrivals, CI gates)
   inspect      verify and summarize a durable data directory (checkpoints + WAL)
-  exp          regenerate a paper experiment (fig5, fig6a..fig6f, exp4, exp5, prep, table1, users, ingest, overload, shards, all)
+  exp          regenerate a paper experiment (fig5, fig6a..fig6f, exp4, exp5, prep, table1, all) or run a sweep (users, ingest, shards, elastic, overload, restart)
   view         inspect generated workflows (text or Graphviz DOT)
   analyze      re-aggregate a saved detailed report (summary + factor analysis)
 `)
@@ -393,24 +395,25 @@ func cmdRun(args []string) error {
 	}
 	if *users > 1 {
 		fmt.Println()
-		if err := report.RenderUserSweep(os.Stdout, report.SummarizeUsers(recs)); err != nil {
+		if err := report.RenderPoints(os.Stdout, report.SummarizeUsers(recs)); err != nil {
 			return err
 		}
 	}
 	if harness != nil {
 		fmt.Println()
-		ingRows := report.SummarizeIngest(recs)
 		wallByGroup := map[string]float64{}
 		for _, u := range report.SummarizeUsers(recs) {
-			wallByGroup[fmt.Sprintf("%s/%d", u.Driver, u.Users)] = u.WallClockMS
+			wallByGroup[report.LabelString(u.Labels)] = u.Metrics["wall_clock_ms"]
 		}
-		for i := range ingRows {
-			ingRows[i].IngestedRows = harness.IngestedRows()
-			if wall := wallByGroup[fmt.Sprintf("%s/%d", ingRows[i].Driver, ingRows[i].Users)]; wall > 0 {
-				ingRows[i].IngestRowsPerSec = float64(harness.IngestedRows()) / (wall / 1000)
+		pts := report.SummarizeIngest(recs)
+		for _, pt := range pts {
+			pt.Metrics["ingested_rows"] = float64(harness.IngestedRows())
+			pt.Metrics["ingest_rows_per_sec"] = 0
+			if wall := wallByGroup[report.LabelString(pt.Labels)]; wall > 0 {
+				pt.Metrics["ingest_rows_per_sec"] = float64(harness.IngestedRows()) / (wall / 1000)
 			}
 		}
-		if err := report.RenderIngestSweep(os.Stdout, ingRows); err != nil {
+		if err := report.RenderPoints(os.Stdout, pts); err != nil {
 			return err
 		}
 		fmt.Printf("ingested %d rows in %d batches (live watermark %d)\n",
@@ -1499,7 +1502,7 @@ func cmdView(args []string) error {
 
 func cmdExp(args []string) error {
 	fs := flag.NewFlagSet("exp", flag.ExitOnError)
-	name := fs.String("name", "fig5", "experiment: fig5, fig6a, fig6b, fig6c, fig6d, fig6e, fig6f, exp4, exp5, prep, table1, users, ingest, overload, shards, elastic, all")
+	name := fs.String("name", "fig5", "experiment: fig5, fig6a, fig6b, fig6c, fig6d, fig6e, fig6f, exp4, exp5, prep, table1, all, or a sweep ("+strings.Join(experiments.SweepNames(), ", ")+")")
 	rows := fs.Int("rows", core.SizeM, "dataset size (tuples)")
 	count := fs.Int("workflows", 10, "workflows per type")
 	interactions := fs.Int("interactions", 18, "interactions per workflow")
@@ -1553,18 +1556,11 @@ func cmdExp(args []string) error {
 			_, err = experiments.Prep(cfg)
 		case "table1":
 			_, err = experiments.Table1(cfg)
-		case "users":
-			_, err = experiments.UserSweep(cfg)
-		case "ingest":
-			_, err = experiments.IngestSweep(cfg)
-		case "overload":
-			_, err = experiments.OverloadSweep(cfg)
-		case "shards":
-			_, err = experiments.ShardSweep(cfg)
-		case "elastic":
-			_, err = experiments.ElasticSweep(cfg)
 		default:
-			return fmt.Errorf("unknown experiment %q", n)
+			if _, ok := experiments.Sweeps[n]; !ok {
+				return fmt.Errorf("unknown experiment %q", n)
+			}
+			_, err = experiments.RunSweep(n, cfg)
 		}
 		if err == nil {
 			fmt.Printf("[%s done in %v]\n\n", n, time.Since(start).Round(time.Millisecond))
@@ -1573,7 +1569,8 @@ func cmdExp(args []string) error {
 	}
 
 	if *name == "all" {
-		for _, n := range []string{"prep", "fig5", "fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "exp4", "exp5", "table1", "users", "ingest", "overload", "shards", "elastic"} {
+		figs := []string{"prep", "fig5", "fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "exp4", "exp5", "table1"}
+		for _, n := range append(figs, experiments.SweepNames()...) {
 			if err := run(n); err != nil {
 				return fmt.Errorf("%s: %w", n, err)
 			}

@@ -5,12 +5,14 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"idebench/internal/core"
 	"idebench/internal/datagen"
 	"idebench/internal/dataset"
+	"idebench/internal/experiments"
 	"idebench/internal/report"
 	"idebench/internal/server"
 	"idebench/internal/workflow"
@@ -156,6 +158,20 @@ func TestCmdAnalyze(t *testing.T) {
 func TestCmdExpUnknown(t *testing.T) {
 	if err := cmdExp([]string{"-name", "bogus"}); err == nil {
 		t.Error("unknown experiment should error")
+	}
+}
+
+// TestCmdExpSweepGate: `exp -name <sweep>` enforces the sweep's gates, so a
+// failed gate fails the command and names the point and the gate.
+func TestCmdExpSweepGate(t *testing.T) {
+	experiments.Sweeps["stub"] = experiments.Sweep{Title: "stub", Labels: []string{"k"},
+		Run: func(experiments.Config) ([]report.Point, error) {
+			return []report.Point{{Labels: map[string]string{"k": "v"}, Gates: map[string]bool{"g": false}}}, nil
+		}}
+	defer delete(experiments.Sweeps, "stub")
+	err := cmdExp([]string{"-name", "stub"})
+	if err == nil || !strings.Contains(err.Error(), "sweep stub point k=v: failed gate g") {
+		t.Fatalf("exp with a failing gate: %v", err)
 	}
 }
 

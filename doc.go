@@ -48,8 +48,8 @@
 // users against one prepared engine, with per-user think-time jitter and
 // per-user record streams. Throughput and latency percentiles per
 // user-count aggregate in report.SummarizeUsers, the user-scalability
-// experiment lives in internal/experiments (UserSweep, `idebench exp -name
-// users`), and `idebench run -users N` replays any workload concurrently.
+// sweep lives in internal/experiments (`idebench exp -name users`), and
+// `idebench run -users N` replays any workload concurrently.
 // All driver waiting goes through driver.Clock, so tests replay in
 // simulated time (driver.SimClock) instead of sleeping.
 //
@@ -225,8 +225,8 @@
 // reports the recovery provenance, `idebench inspect -data-dir` verifies a
 // directory offline, the crash wall (internal/durable fault-injection tests
 // plus the kill -9 e2e in cmd/idebench) proves acked batches survive real
-// SIGKILL, and cmd/benchrun's restart benchmark gates warm boot beating
-// cold prepare (BENCH_7.json).
+// SIGKILL, and the restart sweep (`idebench exp -name restart`, recorded by
+// cmd/benchrun) gates warm boot beating cold prepare (BENCH_7.json).
 //
 // # Continuous integration
 //
@@ -234,10 +234,11 @@
 // (gofmt/vet/staticcheck), the race-enabled test suite on a Go 1.23/1.24
 // matrix, fuzz smokes over the wire formats, benchmark smokes plus the
 // cmd/benchrun -compare regression guard (which uploads the fresh BENCH
-// json as an artifact), and an end-to-end job that boots `idebench serve`,
-// replays an 8-user workflow set through the WebSocket client, and requires
-// streamed intermediates, finals, zero TR violations and a clean SIGTERM
-// drain. The overload e2e job serves with tight admission caps, ramps the
+// json as an artifact) with a vet + race test of the separate ideperf
+// benchmark module (the root build never compiles it), and an end-to-end
+// job that boots `idebench serve`, replays an 8-user workflow set through
+// the WebSocket client, and requires streamed intermediates, finals, zero
+// TR violations and a clean SIGTERM drain. The overload e2e job serves with tight admission caps, ramps the
 // open-loop offered load past the knee with `idebench load`, and gates on
 // bounded admitted p99, explicit rejections, and zero inflight queries and
 // shared-scan consumers after the generator drains. The crash e2e job runs
@@ -254,23 +255,21 @@
 // refused), rebalance replacements in (probe full again) — against a
 // 2-partition, 2-replica tier.
 //
+// The in-process sweeps — users, ingest, shards, elastic, overload and
+// restart — are one registry, experiments.Sweeps. Each sweep returns points
+// of labels, metrics and named pass/fail gates (quiesce-bitwise, coverage,
+// knee inside the ladder, zero leaked consumers, zero hard errors, bounded
+// done-p99 past the knee, bitwise recovery, warm beats cold), and
+// experiments.RunSweep prints one generic table and fails on any failed
+// gate, so `idebench exp -name <sweep>` and cmd/benchrun enforce the same
+// checks. CI's in-process sweep smokes therefore fail on a failed gate.
+//
 // Per-PR performance numbers are recorded as machine-readable JSON at the
-// repo root (BENCH_<n>.json) by cmd/benchrun; BENCH_3.json records the
-// 1→8-user scalability sweep, BENCH_5.json adds the live-ingestion
-// sweep (ingest throughput, deadline-violation rate and staleness at
-// 1/2/4/8 users, plus the bitwise quiesce gate), and BENCH_6.json adds the
-// overload sweep (admitted latency tails, rejection/shed/violation rates
-// and the shedding knee across the offered-load ladder, gated on bounded
-// p99 past the knee and zero leaked scan consumers), and BENCH_7.json adds
-// the warm-restart benchmark (cold datagen+prepare vs checkpoint load +
-// reordered prepare + WAL replay, gated on the warm boot winning and on
-// bitwise-correct recovered results), and BENCH_8.json adds the
-// scatter-gather scaling sweep (single-node vs coordinator-over-N-shards
-// under the ingest-aware multi-user replay, every point gated on the
-// quiesced merged results being bitwise-identical to a cold exact scan of
-// the final table), and BENCH_9.json adds the availability ladder (the
-// same replay against a replicated coordinator with nothing dead, one
-// replica dead, and one whole partition dead — full-coverage points gated
-// quiesce-bitwise, the dead-partition point honestly degraded with its
-// population fraction).
+// repo root (BENCH_<n>.json) by cmd/benchrun: the go benchmarks plus every
+// sweep's points under "sweeps" (schema 2). BENCH_2..9 are schema 1, with a
+// typed *_sweep array per sweep, and still load for -compare: BENCH_3.json
+// records the 1→8-user scalability sweep, BENCH_5.json adds live ingestion,
+// BENCH_6.json the overload ladder, BENCH_7.json the warm restart,
+// BENCH_8.json the scatter-gather scaling sweep and BENCH_9.json the
+// availability ladder over a replicated coordinator.
 package idebench

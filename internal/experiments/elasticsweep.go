@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
-	"idebench/internal/core"
 	"idebench/internal/dataset"
-	"idebench/internal/driver"
 	"idebench/internal/engine"
 	"idebench/internal/engine/progressive"
 	"idebench/internal/groundtruth"
@@ -14,102 +13,28 @@ import (
 	"idebench/internal/query"
 	"idebench/internal/report"
 	"idebench/internal/shard"
-	"idebench/internal/workflow"
 )
 
-// ElasticRow is one measured point of the availability-vs-dead-shards
-// sweep: the same multi-user replay against a replicated coordinator with
-// a progressively worse failure injected before the run.
-type ElasticRow struct {
-	// Scenario names the injected failure: "all_up", "replica_dead" (one
-	// replica of one partition killed; its sibling covers) or
-	// "partition_dead" (every replica of one partition killed; answers
-	// degrade to the surviving partitions' population).
-	Scenario             string
-	Partitions           int
-	ReplicasPerPartition int
-	DeadReplicas         int
-	Users                int
-
-	Queries       int
-	TRViolatedPct float64
-	WallClockMS   float64
-	QueriesPerSec float64
-	P50MS         float64
-	P95MS         float64
-	P99MS         float64
-	PrepareMS     float64
-
-	// Coverage of a post-replay probe COUNT: how much of the population the
-	// merged answer actually saw. A full-coverage point has
-	// PartitionsAnswered == PartitionsTotal and fraction 1.
-	PartitionsAnswered int
-	PartitionsTotal    int
-	PopulationFraction float64
-	Degraded           bool
-
-	// IngestedRows fed during the replay. The dead-partition scenario
-	// replays without ingest: its partition cannot absorb batches, so a
-	// quiesce gate would be meaningless there.
-	IngestedRows int64
-	// BitwiseOK is the quiesce gate, enforced on every fully-covered point:
-	// after the replay's ingest fully absorbed, a COUNT query answered
-	// bitwise-identically to a cold exact scan of the final table. Degraded
-	// points skip it (recorded false) — their answers are honest about
-	// missing rows via the coverage block, not bitwise-complete.
-	BitwiseOK bool
-}
-
-// ElasticSweep runs the default elasticity ladder — 2 partitions × 2
-// replicas, 4 users; nothing dead, one replica dead, one whole partition
-// dead — recorded as BENCH_9.json by benchrun.
-func ElasticSweep(cfg Config) ([]ElasticRow, error) {
-	return ElasticSweepSpec(cfg, 2, 2, 4)
-}
-
-// ElasticSweepSpec replays the same multi-user workload against a fresh
-// parts×reps replicated coordinator per scenario, killing the scenario's
-// replicas before the run. It errors if any replay fails (a dead replica
-// must cost latency, never a failed query), if a scenario's post-replay
-// coverage differs from what the injected failure predicts, or if a
-// fully-covered point misses the quiesce-bitwise gate.
-func ElasticSweepSpec(cfg Config, parts, reps, users int) ([]ElasticRow, error) {
+// elasticSweep replays the same multi-user workload against a fresh
+// 2-partition × 2-replica coordinator per scenario, killing the scenario's
+// replicas before the run: "all_up"; "replica_dead" (one replica of one
+// partition killed; its sibling covers); "partition_dead" (every replica of
+// one partition killed; answers degrade to the surviving partitions'
+// population). A replay error fails the sweep — a dead replica must cost
+// latency, never a failed query. The coverage gate requires a post-replay
+// probe's coverage to be exactly what the injected failure predicts; the
+// quiesce_bitwise gate holds every fully-covered point to the quiesce
+// check, while degraded points are exempt (recorded false) — their answers
+// are honest about missing rows via the coverage metrics, not
+// bitwise-complete. The dead-partition scenario replays without ingest:
+// its partition cannot absorb batches.
+func elasticSweep(cfg Config, users int) ([]report.Point, error) {
+	const parts, reps = 2, 2
 	cfg = cfg.withDefaults()
-	if parts < 2 || reps < 2 {
-		return nil, fmt.Errorf("experiments: elastic sweep needs >=2 partitions and >=2 replicas (got %d x %d)", parts, reps)
-	}
-
-	db, err := core.BuildData(cfg.Rows, false, cfg.Seed)
+	r, err := newReplay(cfg, users, 31000)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := workflowGenerator(db)
-	if err != nil {
-		return nil, err
-	}
-	batchRows := cfg.Rows / 100
-	if batchRows < 200 {
-		batchRows = 200
-	}
-	// Two flow sets: ingest-interleaved for scenarios where every partition
-	// can still absorb batches, plain for the dead-partition scenario.
-	plain := make([]*workflow.Workflow, users)
-	flows := make([]*workflow.Workflow, users)
-	for i := range flows {
-		w, err := gen.Generate(workflow.GenConfig{
-			Type: workflow.Mixed, Interactions: cfg.Interactions,
-			Seed: cfg.Seed + int64(31000+i), Name: fmt.Sprintf("mixed-u%02d", i),
-		})
-		if err != nil {
-			return nil, err
-		}
-		plain[i] = w
-		flows[i] = workflow.InterleaveIngest(w, IngestEvery, batchRows)
-	}
-	tr := cfg.TRs[len(cfg.TRs)/2]
-	s := core.DefaultSettings()
-	s.DataSize = cfg.Rows
-	s.Seed = cfg.Seed
 
 	type scenario struct {
 		name   string
@@ -119,15 +44,11 @@ func ElasticSweepSpec(cfg Config, parts, reps, users int) ([]ElasticRow, error) 
 	scenarios := []scenario{
 		{name: "all_up", ingest: true},
 		{name: "replica_dead", kills: [][2]int{{0, 1}}, ingest: true},
+		{name: "partition_dead", kills: [][2]int{{0, 0}, {0, 1}}},
 	}
-	partDead := make([][2]int, reps)
-	for r := 0; r < reps; r++ {
-		partDead[r] = [2]int{0, r}
-	}
-	scenarios = append(scenarios, scenario{name: "partition_dead", kills: partDead})
 
-	gt := groundtruth.New(db)
-	var out []ElasticRow
+	gt := groundtruth.New(r.db)
+	var pts []report.Point
 	for _, sc := range scenarios {
 		// Fresh tier per scenario: kills and ingest both mutate state.
 		faults := make([][]*shard.Faulty, parts)
@@ -135,10 +56,9 @@ func ElasticSweepSpec(cfg Config, parts, reps, users int) ([]ElasticRow, error) 
 		for p := range sets {
 			faults[p] = make([]*shard.Faulty, reps)
 			sets[p] = make([]engine.Engine, reps)
-			for r := range sets[p] {
-				f := shard.NewFaulty(progressive.New(progressive.Config{}))
-				faults[p][r] = f
-				sets[p][r] = f
+			for i := range sets[p] {
+				faults[p][i] = shard.NewFaulty(progressive.New(progressive.Config{}))
+				sets[p][i] = faults[p][i]
 			}
 		}
 		co, err := shard.NewReplicated(shard.Options{}, sets...)
@@ -146,10 +66,10 @@ func ElasticSweepSpec(cfg Config, parts, reps, users int) ([]ElasticRow, error) 
 			return nil, err
 		}
 		prepStart := time.Now()
-		if err := co.Prepare(db, engine.Options{Confidence: s.Confidence, Seed: s.Seed}); err != nil {
+		if err := co.Prepare(r.db, engine.Options{Confidence: r.s.Confidence, Seed: r.s.Seed}); err != nil {
 			return nil, fmt.Errorf("experiments: %s prepare: %w", sc.name, err)
 		}
-		prep := time.Since(prepStart)
+		prepMS := msSince(prepStart)
 		for _, k := range sc.kills {
 			faults[k[0]][k[1]].Kill()
 		}
@@ -158,54 +78,38 @@ func ElasticSweepSpec(cfg Config, parts, reps, users int) ([]ElasticRow, error) 
 		co.CheckHealth()
 		stopHealth := co.StartHealthLoop(100 * time.Millisecond)
 
-		dcfg := driver.Config{
-			TimeRequirement: tr,
-			ThinkTime:       cfg.ThinkTime,
-			DataSizeLabel:   core.SizeLabel(cfg.Rows),
-		}
-		replayFlows := plain
+		app := engine.CapabilitiesOf(co).Appender
 		var h *ingest.Harness
 		if sc.ingest {
-			src, err := ingest.NewSource(2000, cfg.Seed+23)
-			if err != nil {
+			if h, err = r.harness(app); err != nil {
+				stopHealth()
 				return nil, err
 			}
-			app := engine.CapabilitiesOf(co).Appender
-			h = ingest.NewHarness(db, src, ingest.EngineSink{A: app})
-			dcfg.IngestSink = h
-			replayFlows = flows
 		}
-		m := driver.NewMulti(co, gt, driver.MultiConfig{
-			Config: dcfg,
-			Users:  users, ThinkJitter: driver.DefaultThinkJitter, Seed: cfg.Seed,
-		})
-		res, err := m.Run(replayFlows)
+		res, err := r.run(co, gt, users, h)
 		stopHealth()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s replay: %w", sc.name, err)
 		}
 
-		probe, err := coverageProbe(co, db)
+		probe, err := runToCompletion(co, &query.Query{
+			VizName: "coverage_count", Table: r.db.Fact.Name,
+			Bins: []query.Binning{{Field: "carrier", Kind: dataset.Nominal}},
+			Aggs: []query.Aggregate{{Func: query.Count}},
+		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s probe: %w", sc.name, err)
 		}
-		row := ElasticRow{
-			Scenario:             sc.name,
-			Partitions:           parts,
-			ReplicasPerPartition: reps,
-			DeadReplicas:         len(sc.kills),
-			Users:                users,
-			WallClockMS:          float64(res.WallClock) / float64(time.Millisecond),
-			PrepareMS:            float64(prep) / float64(time.Millisecond),
-			PartitionsAnswered:   parts,
-			PartitionsTotal:      parts,
-			PopulationFraction:   1,
-		}
+		answered, total, fraction, degraded := parts, parts, 1.0, false
 		if cov := probe.Coverage; cov != nil && !cov.Full() {
-			row.PartitionsAnswered = cov.PartitionsAnswered
-			row.PartitionsTotal = cov.PartitionsTotal
-			row.PopulationFraction = cov.PopulationFraction
-			row.Degraded = cov.Degraded
+			answered, total, fraction, degraded = cov.PartitionsAnswered, cov.PartitionsTotal, cov.PopulationFraction, cov.Degraded
+		}
+		bitwise, ingested := false, 0.0
+		if sc.ingest {
+			ingested = float64(h.IngestedRows())
+			if bitwise, err = quiesceBitwise(cfg.Out, co, app, h); err != nil {
+				return nil, fmt.Errorf("experiments: %s quiesce: %w", sc.name, err)
+			}
 		}
 		// The injected failure predicts the coverage exactly: only the
 		// dead-partition scenario may (and must) degrade, by one partition.
@@ -213,63 +117,25 @@ func ElasticSweepSpec(cfg Config, parts, reps, users int) ([]ElasticRow, error) 
 		if !sc.ingest {
 			wantAnswered = parts - 1
 		}
-		if row.PartitionsAnswered != wantAnswered || row.Degraded != (wantAnswered < parts) {
-			return nil, fmt.Errorf("experiments: %s answered %d/%d partitions (degraded=%v), want %d/%d",
-				sc.name, row.PartitionsAnswered, row.PartitionsTotal, row.Degraded, wantAnswered, parts)
-		}
-		if sc.ingest {
-			row.IngestedRows = h.IngestedRows()
-			bitwise, err := quiesceBitwise(co, engine.CapabilitiesOf(co).Appender, h)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s quiesce: %w", sc.name, err)
-			}
-			row.BitwiseOK = bitwise
-		}
-		for _, scal := range report.SummarizeUsers(res.Records) {
-			row.Queries = scal.Queries
-			row.TRViolatedPct = scal.TRViolatedPct
-			row.QueriesPerSec = scal.QueriesPerSec
-			row.P50MS = scal.Latency.P50
-			row.P95MS = scal.Latency.P95
-			row.P99MS = scal.Latency.P99
-		}
-		out = append(out, row)
+		m := replayMetrics(res)
+		m["prepare_ms"] = prepMS
+		m["partitions_answered"] = float64(answered)
+		m["partitions_total"] = float64(total)
+		m["population_fraction"] = fraction
+		m["degraded"] = report.BoolMetric(degraded)
+		m["ingested_rows"] = ingested
+		m["quiesce_bitwise"] = report.BoolMetric(bitwise)
+		pts = append(pts, report.Point{
+			Labels: map[string]string{
+				"scenario": sc.name, "partitions": strconv.Itoa(parts), "replicas_per_partition": strconv.Itoa(reps),
+				"dead_replicas": strconv.Itoa(len(sc.kills)), "users": strconv.Itoa(users),
+			},
+			Metrics: m,
+			Gates: map[string]bool{
+				"coverage":        answered == wantAnswered && degraded == (wantAnswered < parts),
+				"quiesce_bitwise": degraded || bitwise,
+			},
+		})
 	}
-
-	fmt.Fprintf(cfg.Out, "=== Elasticity: %dx%d replicated coordinator under injected failures ===\n", parts, reps)
-	for _, r := range out {
-		fmt.Fprintf(cfg.Out, "%-15s dead=%d queries=%d p95=%.2fms coverage=%d/%d (%.2f) degraded=%v ingested=%d quiesce_bitwise=%v\n",
-			r.Scenario, r.DeadReplicas, r.Queries, r.P95MS, r.PartitionsAnswered, r.PartitionsTotal,
-			r.PopulationFraction, r.Degraded, r.IngestedRows, r.BitwiseOK)
-	}
-	return out, nil
-}
-
-// coverageProbe runs one COUNT-by-carrier query to completion and returns
-// its merged result, whose Coverage block (nil when full) states how much
-// of the population answered.
-func coverageProbe(eng engine.Engine, db *dataset.Database) (*query.Result, error) {
-	q := &query.Query{
-		VizName: "coverage_count", Table: db.Fact.Name,
-		Bins: []query.Binning{{Field: "carrier", Kind: dataset.Nominal}},
-		Aggs: []query.Aggregate{{Func: query.Count}},
-	}
-	sess := eng.OpenSession()
-	defer sess.Close()
-	sess.WorkflowStart()
-	defer sess.WorkflowEnd()
-	hdl, err := sess.StartQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-hdl.Done():
-	case <-time.After(60 * time.Second):
-		return nil, fmt.Errorf("coverage probe did not complete")
-	}
-	res := hdl.Snapshot()
-	if res == nil {
-		return nil, fmt.Errorf("coverage probe was refused (nil snapshot)")
-	}
-	return res, nil
+	return pts, nil
 }

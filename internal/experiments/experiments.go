@@ -33,8 +33,12 @@ type Config struct {
 	// ThinkTime between interactions (default core.DefaultThinkTime; the
 	// paper stress-tests with its smallest think time).
 	ThinkTime time.Duration
-	// Engines to benchmark (default core.EngineNames).
+	// Engines to benchmark (default core.EngineNames; the users and ingest
+	// sweeps default to progressive vs exactdb).
 	Engines []string
+	// Users is the user-count axis of the users and ingest sweeps (default
+	// 1, 2, 4, 8 concurrent simulated analysts).
+	Users []int
 	// Seed drives data and workload generation.
 	Seed int64
 	// Out receives the printed report (default: required, callers pass
@@ -60,6 +64,9 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.Engines) == 0 {
 		c.Engines = append([]string(nil), core.EngineNames...)
+	}
+	if len(c.Users) == 0 {
+		c.Users = []int{1, 2, 4, 8}
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -2,265 +2,86 @@ package experiments
 
 import (
 	"fmt"
-	"time"
+	"slices"
+	"strconv"
 
 	"idebench/internal/core"
-	"idebench/internal/dataset"
 	"idebench/internal/driver"
 	"idebench/internal/engine"
-	"idebench/internal/ingest"
-	"idebench/internal/query"
 	"idebench/internal/report"
-	"idebench/internal/workflow"
 )
 
 // IngestEvery is how many workflow interactions separate consecutive
 // ingest events in the generated ingest-aware workload.
 const IngestEvery = 3
 
-// IngestSweepRow is one measured point of the live-ingestion sweep: U
-// concurrent users replaying ingest-interleaved workflows over one prepared
-// engine while batches land, plus the post-quiesce correctness verdict.
-type IngestSweepRow struct {
-	report.IngestScaling
-	// WallClockMS / QueriesPerSec are the replay's aggregate throughput.
-	WallClockMS   float64
-	QueriesPerSec float64
-	// BitwiseOK reports the quiesce gate: after every batch was absorbed, a
-	// fresh COUNT query on the engine was bitwise identical to a cold exact
-	// scan over the final table (sampling engines, whose complete answer is
-	// an estimate by design, pass via the total-within-tolerance contract
-	// instead).
-	BitwiseOK bool
-}
-
-// IngestSweep measures ingestion-under-load scaling with the default user
-// counts (1/2/4/8) — `idebench exp -name ingest`, recorded as BENCH_5.json
-// by benchrun.
-func IngestSweep(cfg Config) ([]IngestSweepRow, error) {
-	return IngestSweepUsers(cfg, DefaultUserCounts)
-}
-
-// IngestSweepUsers is IngestSweep with an explicit user-count axis. For
-// each engine and user count U it replays U mixed workflows, each with an
+// ingestSweep measures ingestion-under-load scaling. For each engine and
+// user count U of cfg.Users it replays U mixed workflows, each with an
 // ingest event every IngestEvery interactions, as U concurrent users over
 // one freshly prepared engine (appends mutate the engine, so points never
 // share one), evaluating every result against the ground truth of the data
-// version its watermark names. After each point the engine must have
-// absorbed every batch (watermark check) and answer a COUNT query bitwise
-// identically to the final table's exact scan — the incremental path may
-// not drift from a cold rebuild by even one row.
-func IngestSweepUsers(cfg Config, userCounts []int) ([]IngestSweepRow, error) {
-	engines := cfg.Engines
-	if len(engines) == 0 {
-		engines = []string{"progressive", "exactdb"}
-	}
+// version its watermark names. Each point's quiesce_bitwise gate requires
+// the engine to have absorbed every batch and to answer a COUNT query
+// bitwise identically to the final table's exact scan — the incremental
+// path may not drift from a cold rebuild by even one row.
+func ingestSweep(cfg Config) ([]report.Point, error) {
+	engines := sweepEngines(cfg)
 	cfg = cfg.withDefaults()
-	maxUsers := 0
-	for _, u := range userCounts {
-		if u > maxUsers {
-			maxUsers = u
-		}
-	}
-	if maxUsers == 0 {
-		return nil, fmt.Errorf("experiments: empty user-count sweep")
-	}
-
-	db, err := core.BuildData(cfg.Rows, false, cfg.Seed)
+	r, err := newReplay(cfg, slices.Max(cfg.Users), 17000)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := workflowGenerator(db)
-	if err != nil {
-		return nil, err
+	type stat struct {
+		wallMS, ingested float64
+		bitwise          bool
 	}
-	batchRows := cfg.Rows / 100
-	if batchRows < 200 {
-		batchRows = 200
-	}
-	flows := make([]*workflow.Workflow, maxUsers)
-	for i := range flows {
-		w, err := gen.Generate(workflow.GenConfig{
-			Type: workflow.Mixed, Interactions: cfg.Interactions,
-			Seed: cfg.Seed + int64(17000+i), Name: fmt.Sprintf("mixed-u%02d", i),
-		})
-		if err != nil {
-			return nil, err
-		}
-		flows[i] = workflow.InterleaveIngest(w, IngestEvery, batchRows)
-	}
-
-	tr := cfg.TRs[len(cfg.TRs)/2]
-	type pointKey struct {
-		driver string
-		users  int
-	}
-	type pointStat struct {
-		ingested   int64
-		rowsPerSec float64
-		wallMS     float64
-		queriesSec float64
-		bitwiseOK  bool
-	}
-	stats := map[pointKey]pointStat{}
+	stats := map[string]stat{} // keyed like userSweep's seqMS
 	var allRecords []driver.Record
-	seenDriver := map[string]string{}
+	seen := map[string]string{}
 	for _, name := range engines {
-		s := core.DefaultSettings()
-		s.DataSize = cfg.Rows
-		s.Seed = cfg.Seed
-		s.ThinkTime = cfg.ThinkTime
-		s.TimeRequirement = tr
-		for _, users := range userCounts {
-			// Fresh engine per point: live ingestion mutates prepared state.
-			p, err := core.Prepare(name, db, s)
+		for _, users := range cfg.Users {
+			p, err := core.Prepare(name, r.db, r.s)
 			if err != nil {
 				return nil, err
 			}
 			drv := p.Engine.Name()
-			if prev, ok := seenDriver[drv]; ok && prev != name {
-				return nil, fmt.Errorf("experiments: engines %q and %q both report driver name %q",
-					prev, name, drv)
-			}
-			seenDriver[drv] = name
-			app := engine.CapabilitiesOf(p.Engine).Appender
-			if app == nil {
-				return nil, fmt.Errorf("experiments: engine %s does not support ingestion", name)
-			}
-			src, err := ingest.NewSource(2000, cfg.Seed+23)
-			if err != nil {
+			if err := claimDriver(seen, drv, name); err != nil {
 				return nil, err
 			}
-			h := ingest.NewHarness(db, src, ingest.EngineSink{A: app})
-
-			m := driver.NewMulti(p.Engine, p.GT, driver.MultiConfig{
-				Config: driver.Config{
-					TimeRequirement: tr,
-					ThinkTime:       cfg.ThinkTime,
-					DataSizeLabel:   core.SizeLabel(cfg.Rows),
-					IngestSink:      h,
-				},
-				Users: users, ThinkJitter: driver.DefaultThinkJitter, Seed: cfg.Seed,
-			})
-			res, err := m.Run(flows[:users])
+			app := engine.CapabilitiesOf(p.Engine).Appender
+			h, err := r.harness(app)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s: %w", name, err)
+			}
+			res, err := r.run(p.Engine, p.GT, users, h)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s users=%d: %w", name, users, err)
 			}
-			// MultiResult.WallClock closes when the last user finishes the
-			// replay — before the deferred ground-truth resolution runs — so
-			// throughput is divided by the replay window only, like every
-			// other sweep's numbers.
-			wallMS := float64(res.WallClock) / float64(time.Millisecond)
-
-			bitwise, err := quiesceBitwise(p.Engine, app, h)
+			bitwise, err := quiesceBitwise(cfg.Out, p.Engine, app, h)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s users=%d quiesce: %w", name, users, err)
 			}
 			allRecords = append(allRecords, res.Records...)
-			st := pointStat{ingested: h.IngestedRows(), wallMS: wallMS, bitwiseOK: bitwise}
-			if wallMS > 0 {
-				st.rowsPerSec = float64(h.IngestedRows()) / (wallMS / 1000)
-				st.queriesSec = float64(len(res.Records)) / (wallMS / 1000)
-			}
-			stats[pointKey{drv, users}] = st
+			stats[drv+"/"+strconv.Itoa(users)] = stat{durMS(res.WallClock), float64(h.IngestedRows()), bitwise}
 		}
 	}
 
-	var out []IngestSweepRow
-	for _, scal := range report.SummarizeIngest(allRecords) {
-		st := stats[pointKey{scal.Driver, scal.Users}]
-		scal.IngestedRows = st.ingested
-		scal.IngestRowsPerSec = st.rowsPerSec
-		out = append(out, IngestSweepRow{
-			IngestScaling: scal,
-			WallClockMS:   st.wallMS,
-			QueriesPerSec: st.queriesSec,
-			BitwiseOK:     st.bitwiseOK,
-		})
-	}
-
-	fmt.Fprintln(cfg.Out, "=== Live ingestion: append-only batches during concurrent replay (mixed workload) ===")
-	scal := make([]report.IngestScaling, len(out))
-	for i, r := range out {
-		scal[i] = r.IngestScaling
-	}
-	if err := report.RenderIngestSweep(cfg.Out, scal); err != nil {
-		return nil, err
-	}
-	for _, r := range out {
-		fmt.Fprintf(cfg.Out, "%-12s users=%d wall=%.1fms queries/s=%.1f ingest_rows/s=%.0f quiesce_bitwise=%v\n",
-			r.Driver, r.Users, r.WallClockMS, r.QueriesPerSec, r.IngestRowsPerSec, r.BitwiseOK)
-	}
-	return out, nil
-}
-
-// quiesceBitwise verifies the incremental path against a cold rebuild: the
-// engine's watermark must equal the harness's (every batch absorbed), and a
-// fresh COUNT-by-carrier query must match the final table's exact scan —
-// bitwise when the engine answers exactly (counts are integers, so any lost
-// or double-folded row shows), or total-within-tolerance for sampling
-// engines whose complete answer is an estimate by design.
-func quiesceBitwise(eng engine.Engine, app engine.Appender, h *ingest.Harness) (bool, error) {
-	want := h.Watermark()
-	if w := app.Watermark(); w != want {
-		return false, fmt.Errorf("engine watermark %d, harness %d", w, want)
-	}
-	q := &query.Query{
-		VizName: "quiesce_count", Table: h.FinalView().Fact.Name,
-		Bins: []query.Binning{{Field: "carrier", Kind: dataset.Nominal}},
-		Aggs: []query.Aggregate{{Func: query.Count}},
-	}
-	gt, err := h.TruthAt(q, want)
-	if err != nil {
-		return false, err
-	}
-	sess := eng.OpenSession()
-	defer sess.Close()
-	sess.WorkflowStart()
-	defer sess.WorkflowEnd()
-	hdl, err := sess.StartQuery(q)
-	if err != nil {
-		return false, err
-	}
-	select {
-	case <-hdl.Done():
-	case <-time.After(60 * time.Second):
-		return false, fmt.Errorf("quiesce query did not complete")
-	}
-	res := hdl.Snapshot()
-	if res == nil {
-		return false, fmt.Errorf("quiesce query returned no result")
-	}
-	if res.Watermark != want {
-		return false, fmt.Errorf("quiesce result watermark %d, want %d", res.Watermark, want)
-	}
-	if !res.Complete {
-		// A sampling engine's finished answer is an estimate (Complete stays
-		// false by design): hold it to the stratified-sampling contract —
-		// the scaled total tracks the grown population.
-		var gtTotal, resTotal float64
-		for _, bv := range gt.Bins {
-			gtTotal += bv.Values[0]
+	pts := report.SummarizeIngest(allRecords)
+	for i, pt := range pts {
+		st, m := stats[pt.Labels["engine"]+"/"+pt.Labels["users"]], pt.Metrics
+		// Schema-1 artifacts never recorded the staleness p95.
+		delete(m, "staleness_p95_rows")
+		m["wall_clock_ms"] = st.wallMS
+		m["ingested_rows"] = st.ingested
+		m["queries_per_sec"], m["ingest_rows_per_sec"] = 0, 0
+		// Throughput is divided by the replay window only, like every other
+		// sweep's numbers.
+		if st.wallMS > 0 {
+			m["queries_per_sec"] = m["queries"] / (st.wallMS / 1000)
+			m["ingest_rows_per_sec"] = st.ingested / (st.wallMS / 1000)
 		}
-		for _, bv := range res.Bins {
-			resTotal += bv.Values[0]
-		}
-		if gtTotal == 0 {
-			return len(res.Bins) == 0, nil
-		}
-		if diff := (resTotal - gtTotal) / gtTotal; diff < -0.15 || diff > 0.15 {
-			return false, fmt.Errorf("quiesce estimate total %v, want within 15%% of %v", resTotal, gtTotal)
-		}
-		return true, nil
+		m["quiesce_bitwise"] = report.BoolMetric(st.bitwise)
+		pts[i].Gates = map[string]bool{"quiesce_bitwise": st.bitwise}
 	}
-	if len(res.Bins) != len(gt.Bins) {
-		return false, fmt.Errorf("quiesce count: %d bins, want %d", len(res.Bins), len(gt.Bins))
-	}
-	for k, wv := range gt.Bins {
-		gv, ok := res.Bins[k]
-		if !ok || gv.Values[0] != wv.Values[0] {
-			return false, fmt.Errorf("quiesce count bin %v: got %v, want exactly %v", k, gv, wv.Values[0])
-		}
-	}
-	return true, nil
+	return pts, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"time"
 
 	"idebench/internal/core"
@@ -19,27 +20,31 @@ import (
 // server sheds admitted queries still running past its late budget.
 const OverloadDeadline = 12 * time.Millisecond
 
-// DefaultOverloadRates is the offered-load ladder (arrivals/second). The
+// defaultOverloadRates is the offered-load ladder (arrivals/second). The
 // upper rungs are far past what the tightened admission caps below admit, so
 // the sweep always walks through the knee.
-var DefaultOverloadRates = []float64{100, 250, 500, 1000, 2000, 4000}
+var defaultOverloadRates = []float64{100, 250, 500, 1000, 2000, 4000}
 
-// OverloadSweep measures open-loop overload survival — `idebench exp -name
-// overload`, recorded as BENCH_6.json by benchrun. It serves a progressive
-// engine on a real loopback listener with deliberately tight admission caps
-// (the knee must appear inside the ladder, not at data-center scale), then
-// walks DefaultOverloadRates with a Poisson open-loop generator. At every
-// rate it reports the admitted-query latency tails (p50/p99/p99.9 of TTFS
-// and time-to-final), the explicit-rejection and shedding counts, and the
-// post-drain shared-scan consumer count, which must be zero: overload may
-// cost rejections, never leaks or unbounded tails.
-func OverloadSweep(cfg Config) ([]report.OverloadPoint, error) {
-	return OverloadSweepRates(cfg, DefaultOverloadRates, 2*time.Second)
-}
+// maxDoneP99PastKnee is the ceiling on admitted-query time-to-final p99 at
+// and past the shedding knee, milliseconds. Deadline shedding cancels
+// admitted queries a couple of deadlines after admission, so even at 30x
+// the capacity rate the tail must stay far under the load generator's 2s
+// hard timeout.
+const maxDoneP99PastKnee = 1500.0
 
-// OverloadSweepRates is OverloadSweep with an explicit rate ladder and
-// per-point offered-load window.
-func OverloadSweepRates(cfg Config, rates []float64, window time.Duration) ([]report.OverloadPoint, error) {
+// overloadSweep measures open-loop overload survival. It serves a
+// progressive engine on a real loopback listener with deliberately tight
+// admission caps (the knee must appear inside the ladder, not at
+// data-center scale), then offers each rate for window with a Poisson
+// open-loop generator. At every rate it records the admitted-query latency
+// tails (p50/p99/p99.9 of TTFS and time-to-final), the explicit-rejection
+// and shedding counts, and the post-drain shared-scan consumer count.
+// Overload may cost rejections, never leaks or unbounded tails: every point
+// is gated on zero leaked consumers, zero hard errors (overload must reject
+// explicitly, not error) and, at and past the knee, done-p99 within
+// maxDoneP99PastKnee; the top rung is gated on the knee lying inside the
+// ladder.
+func overloadSweep(cfg Config, rates []float64, window time.Duration) ([]report.Point, error) {
 	cfg = cfg.withDefaults()
 	if len(rates) == 0 {
 		return nil, fmt.Errorf("experiments: empty overload rate ladder")
@@ -84,7 +89,7 @@ func OverloadSweepRates(cfg Config, rates []float64, window time.Duration) ([]re
 	defer func() { hsrv.Close(); <-serveDone }()
 	addr := l.Addr().String()
 
-	var points []report.OverloadPoint
+	var pts []report.Point
 	for i, rate := range rates {
 		// Fresh client per point: session state, handle maps, and frame
 		// stats start clean at every rung.
@@ -119,32 +124,45 @@ func OverloadSweepRates(cfg Config, rates []float64, window time.Duration) ([]re
 			leaked = scanObs.ActiveScanConsumers()
 		}
 
-		points = append(points, report.OverloadPoint{
-			Rate:            rate,
-			OfferedRate:     st.OfferedRate,
-			Offered:         st.Offered,
-			Started:         st.Started,
-			Completed:       st.Completed,
-			Rejected:        st.Rejected,
-			Dropped:         st.Dropped,
-			Errors:          st.Errors,
-			Shed:            st.Shed,
-			Violations:      st.Violations,
-			RejectedPct:     st.RejectedPct(),
-			ViolationPct:    st.ViolationPct(),
-			TTFSP50:         st.TTFS.P50,
-			TTFSP99:         st.TTFS.P99,
-			TTFSP999:        st.TTFS.P999,
-			DoneP50:         st.Done.P50,
-			DoneP99:         st.Done.P99,
-			DoneP999:        st.Done.P999,
-			LeakedConsumers: leaked,
+		pts = append(pts, report.Point{
+			Labels: map[string]string{"rate": strconv.FormatFloat(rate, 'f', -1, 64)},
+			Metrics: map[string]float64{
+				"offered_rate":     st.OfferedRate,
+				"offered":          float64(st.Offered),
+				"started":          float64(st.Started),
+				"completed":        float64(st.Completed),
+				"rejected":         float64(st.Rejected),
+				"dropped":          float64(st.Dropped),
+				"errors":           float64(st.Errors),
+				"shed":             float64(st.Shed),
+				"violations":       float64(st.Violations),
+				"rejected_pct":     st.RejectedPct(),
+				"violation_pct":    st.ViolationPct(),
+				"ttfs_p50_ms":      st.TTFS.P50,
+				"ttfs_p99_ms":      st.TTFS.P99,
+				"ttfs_p999_ms":     st.TTFS.P999,
+				"done_p50_ms":      st.Done.P50,
+				"done_p99_ms":      st.Done.P99,
+				"done_p999_ms":     st.Done.P999,
+				"leaked_consumers": float64(leaked),
+			},
 		})
 	}
 
-	fmt.Fprintln(cfg.Out, "=== Overload survival: open-loop Poisson arrivals vs tightened admission caps ===")
-	if err := report.RenderOverloadSweep(cfg.Out, points); err != nil {
-		return nil, err
+	knee := report.FindKnee(pts)
+	for i := range pts {
+		m := pts[i].Metrics
+		pts[i].Gates = map[string]bool{
+			"zero_leaked_consumers": m["leaked_consumers"] == 0,
+			"zero_hard_errors":      m["errors"] == 0,
+			"done_p99_bounded":      knee < 0 || i < knee || !(m["completed"] > 0 && m["done_p99_ms"] > maxDoneP99PastKnee),
+		}
 	}
-	return points, nil
+	pts[len(pts)-1].Gates["knee_inside_ladder"] = knee >= 0
+	if knee < 0 {
+		fmt.Fprintln(cfg.Out, "no knee: the sweep never pushed the server into shedding")
+	} else {
+		fmt.Fprintf(cfg.Out, "knee at %.0f arrivals/s: admission control and shedding engaged; past it the server answers what it admits and rejects the rest explicitly\n", rates[knee])
+	}
+	return pts, nil
 }

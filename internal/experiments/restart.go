@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"idebench/internal/core"
@@ -10,36 +11,8 @@ import (
 	"idebench/internal/durable"
 	"idebench/internal/engine"
 	"idebench/internal/ingest"
+	"idebench/internal/report"
 )
-
-// RestartResult is the warm-restart benchmark artifact: how long a durable
-// server takes to come back (checkpoint load + reordered prepare + WAL
-// replay) against the cold path it replaces (datagen + full prepare with
-// the sampling reorder), plus the correctness gate that the recovered state
-// answers bitwise-identically to the cold build of the same data version.
-type RestartResult struct {
-	Rows         int   `json:"rows"`
-	IngestedRows int64 `json:"ingested_rows"`
-	Batches      int   `json:"batches"`
-	// ColdPrepareMS is datagen + Prepare from nothing (what every boot costs
-	// without -data-dir).
-	ColdPrepareMS float64 `json:"cold_prepare_ms"`
-	// CheckpointMS/CheckpointBytes price the durability write side.
-	CheckpointMS    float64 `json:"checkpoint_ms"`
-	CheckpointBytes int64   `json:"checkpoint_bytes"`
-	// WarmLoadMS is checkpoint load + verification + PrepareReordered;
-	// WALReplayMS is redoing the logged tail through the ingest path;
-	// WarmTotalMS is their sum — the durable boot's time-to-serving.
-	WarmLoadMS  float64 `json:"warm_load_ms"`
-	WALReplayMS float64 `json:"wal_replay_ms"`
-	WarmTotalMS float64 `json:"warm_total_ms"`
-	// Bitwise records that a count over the warm-recovered engine matched
-	// the ground truth of the recovered watermark exactly.
-	Bitwise bool `json:"bitwise"`
-	// WarmBeatsCold is the acceptance gate: the warm boot (including replay)
-	// must be faster than the cold prepare it skips.
-	WarmBeatsCold bool `json:"warm_beats_cold"`
-}
 
 // walSink adapts the WAL-logging Applier into an ingest.Sink, so a harness
 // drives the same validate→log→apply path the live server uses.
@@ -50,20 +23,24 @@ func (s walSink) ApplyBatch(b *ingest.Batch, _ *dataset.Table) error {
 	return err
 }
 
-// RestartBench measures one durable serve/crash/warm-boot cycle in-process
-// on the progressive engine: bootstrap a data directory, ingest `batches`
-// batches of `batchRows` rows (checkpointing halfway, so recovery exercises
-// both the checkpoint and a live WAL tail), then time a recovery against a
-// from-scratch cold prepare of the same base.
-func RestartBench(cfg Config, batches, batchRows int) (*RestartResult, error) {
+// restartBench measures one durable serve/crash/warm-boot cycle in-process
+// on the progressive engine: bootstrap a data directory, ingest 10 batches
+// of rows/100 rows (checkpointing halfway, so recovery exercises both the
+// checkpoint and a live WAL tail), then time a recovery (checkpoint load +
+// verification + PrepareReordered, then WAL replay) against the cold path
+// it replaces (datagen + full prepare with the sampling reorder). The
+// bitwise gate requires the recovered engine to answer like a cold exact
+// scan of the same data version; warm_beats_cold requires the warm boot,
+// replay included, to be faster than the cold prepare it skips.
+func restartBench(cfg Config) ([]report.Point, error) {
 	cfg = cfg.withDefaults()
+	const batches = 10
+	batchRows := cfg.Rows / 100
 	dir, err := os.MkdirTemp("", "idebench-restart-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-
-	res := &RestartResult{Rows: cfg.Rows, Batches: batches}
 
 	// Serve side: cold-build the base, bootstrap the durable directory, and
 	// ingest through the WAL exactly like `serve -data-dir`.
@@ -93,8 +70,8 @@ func RestartBench(cfg Config, batches, batchRows int) (*RestartResult, error) {
 	if err := st.Bootstrap(vdb, perm); err != nil {
 		return nil, err
 	}
-	res.CheckpointMS = msSince(ckStart)
-	res.CheckpointBytes = st.Status().LastCheckpointBytes
+	checkpointMS := msSince(ckStart)
+	checkpointBytes := st.Status().LastCheckpointBytes
 
 	app := caps.Appender
 	if app == nil {
@@ -120,7 +97,6 @@ func RestartBench(cfg Config, batches, batchRows int) (*RestartResult, error) {
 			}
 		}
 	}
-	res.IngestedRows = h.IngestedRows()
 	if err := st.Close(); err != nil {
 		return nil, err
 	}
@@ -135,7 +111,7 @@ func RestartBench(cfg Config, batches, batchRows int) (*RestartResult, error) {
 	if _, err := core.Prepare("progressive", coldDB, s); err != nil {
 		return nil, err
 	}
-	res.ColdPrepareMS = msSince(coldStart)
+	coldMS := msSince(coldStart)
 
 	// Warm side: recover the directory, adopt the checkpoint's own order,
 	// redo the WAL tail.
@@ -164,7 +140,7 @@ func RestartBench(cfg Config, batches, batchRows int) (*RestartResult, error) {
 	if err := rp.PrepareReordered(rec.Checkpoint.DB, rec.Checkpoint.Perm, eopts); err != nil {
 		return nil, err
 	}
-	res.WarmLoadMS = msSince(warmStart)
+	warmLoadMS := msSince(warmStart)
 
 	replayStart := time.Now()
 	app2 := caps2.Appender
@@ -177,8 +153,8 @@ func RestartBench(cfg Config, batches, batchRows int) (*RestartResult, error) {
 			return nil, fmt.Errorf("experiments: wal replay: %w", err)
 		}
 	}
-	res.WALReplayMS = msSince(replayStart)
-	res.WarmTotalMS = res.WarmLoadMS + res.WALReplayMS
+	replayMS := msSince(replayStart)
+	warmMS := warmLoadMS + replayMS
 	if err := st2.Close(); err != nil {
 		return nil, err
 	}
@@ -186,15 +162,23 @@ func RestartBench(cfg Config, batches, batchRows int) (*RestartResult, error) {
 		return nil, fmt.Errorf("experiments: restart: replayed watermark %d, want %d", got, want)
 	}
 
-	// Correctness gate: the warm-recovered engine answers like a cold exact
-	// scan of the same data version.
-	bitwise, err := quiesceBitwise(eng2, app2, h)
+	bitwise, err := quiesceBitwise(cfg.Out, eng2, app2, h)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: restart bitwise check: %w", err)
 	}
-	res.Bitwise = bitwise
-	res.WarmBeatsCold = res.WarmTotalMS < res.ColdPrepareMS
-	return res, nil
+	return []report.Point{{
+		Labels: map[string]string{"rows": strconv.Itoa(cfg.Rows), "batches": strconv.Itoa(batches)},
+		Metrics: map[string]float64{
+			"ingested_rows":    float64(h.IngestedRows()),
+			"cold_prepare_ms":  coldMS,
+			"checkpoint_ms":    checkpointMS,
+			"checkpoint_bytes": float64(checkpointBytes),
+			"warm_load_ms":     warmLoadMS,
+			"wal_replay_ms":    replayMS,
+			"warm_total_ms":    warmMS,
+			"bitwise":          report.BoolMetric(bitwise),
+			"warm_beats_cold":  report.BoolMetric(warmMS < coldMS),
+		},
+		Gates: map[string]bool{"bitwise": bitwise, "warm_beats_cold": warmMS < coldMS},
+	}}, nil
 }
-
-func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }

@@ -2,202 +2,75 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"idebench/internal/core"
-	"idebench/internal/driver"
 	"idebench/internal/engine"
 	"idebench/internal/engine/progressive"
 	"idebench/internal/groundtruth"
-	"idebench/internal/ingest"
 	"idebench/internal/report"
 	"idebench/internal/shard"
-	"idebench/internal/workflow"
 )
 
-// DefaultShardCounts is the scatter-gather scaling axis: how many shard
-// backends the coordinator merges. 1 measures pure coordinator overhead
-// (fan-out, partial folding, watermark translation) against the single-node
-// baseline.
-var DefaultShardCounts = []int{1, 2, 4}
-
-// ShardSweepRow is one measured point of the shards-vs-single-node sweep.
-type ShardSweepRow struct {
-	// Topology is "single" for the baseline engine or "shardN" for an
-	// in-process coordinator over N progressive shard backends.
-	Topology string
-	// Shards is 0 for the baseline.
-	Shards int
-	Users  int
-
-	Queries       int
-	TRViolatedPct float64
-	WallClockMS   float64
-	QueriesPerSec float64
-	P50MS         float64
-	P95MS         float64
-	P99MS         float64
-	// PrepareMS covers partitioning plus preparing every backend.
-	PrepareMS float64
-	// BitwiseOK is the quiesce gate: after the replay's live ingest fully
-	// absorbed, a COUNT query answered bitwise-identically to a cold exact
-	// scan of the final table, with the merged watermark at the final
-	// global version.
-	BitwiseOK bool
-	// IngestedRows fed during the replay (hash-routed across shards).
-	IngestedRows int64
-}
-
-// ShardSweep measures the scatter-gather serving tier against single-node
-// execution with the default shard counts and a fixed 4-user ingest-aware
-// replay — recorded as BENCH_8.json by benchrun.
-func ShardSweep(cfg Config) ([]ShardSweepRow, error) {
-	return ShardSweepCounts(cfg, DefaultShardCounts, 4)
-}
-
-// ShardSweepCounts replays the same ingest-interleaved multi-user workload
-// over (a) a single-node progressive engine and (b) an in-process
-// coordinator over N progressive shard backends for each N, all against the
-// same generated dataset. Every point gets a fresh prepare (ingest mutates
-// the engines) and must pass the quiesce-bitwise gate; the in-process
-// coordinator exercises exactly the partition/route/merge/min-watermark
-// machinery the multi-process tier serves, minus the wire.
-func ShardSweepCounts(cfg Config, shardCounts []int, users int) ([]ShardSweepRow, error) {
+// shardSweep replays the same ingest-interleaved multi-user workload over
+// (a) a single-node progressive engine ("single", shards 0) and (b) an
+// in-process coordinator over N progressive shard backends ("shardN") for
+// each N, all against the same generated dataset. Every point gets a fresh
+// prepare (ingest mutates the engines) and is gated quiesce-bitwise; the
+// in-process coordinator exercises exactly the partition/route/merge/
+// min-watermark machinery the multi-process tier serves, minus the wire.
+// prepare_ms covers partitioning plus preparing every backend.
+func shardSweep(cfg Config, shardCounts []int, users int) ([]report.Point, error) {
 	cfg = cfg.withDefaults()
-	if users < 1 {
-		return nil, fmt.Errorf("experiments: shard sweep needs at least one user")
-	}
-	if len(shardCounts) == 0 {
-		return nil, fmt.Errorf("experiments: empty shard-count sweep")
-	}
-
-	db, err := core.BuildData(cfg.Rows, false, cfg.Seed)
+	r, err := newReplay(cfg, users, 29000)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := workflowGenerator(db)
-	if err != nil {
-		return nil, err
-	}
-	batchRows := cfg.Rows / 100
-	if batchRows < 200 {
-		batchRows = 200
-	}
-	flows := make([]*workflow.Workflow, users)
-	for i := range flows {
-		w, err := gen.Generate(workflow.GenConfig{
-			Type: workflow.Mixed, Interactions: cfg.Interactions,
-			Seed: cfg.Seed + int64(29000+i), Name: fmt.Sprintf("mixed-u%02d", i),
-		})
-		if err != nil {
-			return nil, err
-		}
-		flows[i] = workflow.InterleaveIngest(w, IngestEvery, batchRows)
-	}
-	tr := cfg.TRs[len(cfg.TRs)/2]
-	s := core.DefaultSettings()
-	s.DataSize = cfg.Rows
-	s.Seed = cfg.Seed
-	s.ThinkTime = cfg.ThinkTime
-	s.TimeRequirement = tr
-
-	type point struct {
-		topology string
-		shards   int
-		prepare  func() (engine.Engine, time.Duration, error)
-	}
-	points := []point{{
-		topology: "single", shards: 0,
-		prepare: func() (engine.Engine, time.Duration, error) {
-			p, err := core.Prepare("progressive", db, s)
-			if err != nil {
-				return nil, 0, err
+	gt := groundtruth.New(r.db)
+	var pts []report.Point
+	for _, n := range append([]int{0}, shardCounts...) {
+		topology, eng, err := "single", engine.Engine(nil), error(nil)
+		if n == 0 {
+			eng, err = core.NewEngine("progressive")
+		} else {
+			topology = fmt.Sprintf("shard%d", n)
+			backends := make([]engine.Engine, n)
+			for i := range backends {
+				backends[i] = progressive.New(progressive.Config{})
 			}
-			return p.Engine, p.PrepTime, nil
-		},
-	}}
-	for _, n := range shardCounts {
-		n := n
-		points = append(points, point{
-			topology: fmt.Sprintf("shard%d", n), shards: n,
-			prepare: func() (engine.Engine, time.Duration, error) {
-				backends := make([]engine.Engine, n)
-				for i := range backends {
-					backends[i] = progressive.New(progressive.Config{})
-				}
-				co, err := shard.NewCoordinator(backends...)
-				if err != nil {
-					return nil, 0, err
-				}
-				start := time.Now()
-				if err := co.Prepare(db, engine.Options{Confidence: s.Confidence, Seed: s.Seed}); err != nil {
-					return nil, 0, err
-				}
-				return co, time.Since(start), nil
-			},
-		})
-	}
-
-	gt := groundtruth.New(db)
-	var out []ShardSweepRow
-	for _, pt := range points {
-		eng, prep, err := pt.prepare()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s prepare: %w", pt.topology, err)
+			eng, err = shard.NewCoordinator(backends...)
 		}
+		start := time.Now()
+		if err == nil {
+			err = eng.Prepare(r.db, engine.Options{Confidence: r.s.Confidence, Seed: r.s.Seed})
+		}
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s prepare: %w", topology, err)
+		}
+		prepMS := msSince(start)
 		app := engine.CapabilitiesOf(eng).Appender
-		if app == nil {
-			return nil, fmt.Errorf("experiments: %s does not support ingestion", pt.topology)
-		}
-		src, err := ingest.NewSource(2000, cfg.Seed+23)
+		h, err := r.harness(app)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: %s: %w", topology, err)
 		}
-		h := ingest.NewHarness(db, src, ingest.EngineSink{A: app})
-		m := driver.NewMulti(eng, gt, driver.MultiConfig{
-			Config: driver.Config{
-				TimeRequirement: tr,
-				ThinkTime:       cfg.ThinkTime,
-				DataSizeLabel:   core.SizeLabel(cfg.Rows),
-				IngestSink:      h,
-			},
-			Users: users, ThinkJitter: driver.DefaultThinkJitter, Seed: cfg.Seed,
+		res, err := r.run(eng, gt, users, h)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s replay: %w", topology, err)
+		}
+		bitwise, err := quiesceBitwise(cfg.Out, eng, app, h)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s quiesce: %w", topology, err)
+		}
+		m := replayMetrics(res)
+		m["prepare_ms"] = prepMS
+		m["ingested_rows"] = float64(h.IngestedRows())
+		m["quiesce_bitwise"] = report.BoolMetric(bitwise)
+		pts = append(pts, report.Point{
+			Labels:  map[string]string{"topology": topology, "shards": strconv.Itoa(n), "users": strconv.Itoa(users)},
+			Metrics: m,
+			Gates:   map[string]bool{"quiesce_bitwise": bitwise},
 		})
-		res, err := m.Run(flows)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s replay: %w", pt.topology, err)
-		}
-		bitwise, err := quiesceBitwise(eng, app, h)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s quiesce: %w", pt.topology, err)
-		}
-		wallMS := float64(res.WallClock) / float64(time.Millisecond)
-		row := ShardSweepRow{
-			Topology:     pt.topology,
-			Shards:       pt.shards,
-			Users:        users,
-			WallClockMS:  wallMS,
-			PrepareMS:    float64(prep) / float64(time.Millisecond),
-			BitwiseOK:    bitwise,
-			IngestedRows: h.IngestedRows(),
-		}
-		// One topology per replay, so the user-scaling aggregation collapses
-		// to a single group carrying the latency percentiles.
-		for _, scal := range report.SummarizeUsers(res.Records) {
-			row.Queries = scal.Queries
-			row.TRViolatedPct = scal.TRViolatedPct
-			row.QueriesPerSec = scal.QueriesPerSec
-			row.P50MS = scal.Latency.P50
-			row.P95MS = scal.Latency.P95
-			row.P99MS = scal.Latency.P99
-		}
-		out = append(out, row)
 	}
-
-	fmt.Fprintln(cfg.Out, "=== Scatter-gather: coordinator over N shards vs single node (ingest-aware mixed workload) ===")
-	for _, r := range out {
-		fmt.Fprintf(cfg.Out, "%-8s users=%d prepare=%.1fms wall=%.1fms queries/s=%.1f p95=%.2fms ingested=%d quiesce_bitwise=%v\n",
-			r.Topology, r.Users, r.PrepareMS, r.WallClockMS, r.QueriesPerSec, r.P95MS, r.IngestedRows, r.BitwiseOK)
-	}
-	return out, nil
+	return pts, nil
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"idebench/internal/core"
@@ -9,179 +11,81 @@ import (
 	"idebench/internal/engine"
 	"idebench/internal/groundtruth"
 	"idebench/internal/report"
-	"idebench/internal/workflow"
 )
 
-// DefaultUserCounts is the user-scalability sweep: how many concurrent
-// simulated analysts share one prepared engine.
-var DefaultUserCounts = []int{1, 2, 4, 8}
-
-// UserSweepRow is one measured point of the user sweep: the concurrent
-// replay of U workflows by U users, plus the sequential single-session
-// replay of the same U workflows as the baseline the speedup is against.
-type UserSweepRow struct {
-	report.UserScaling
-	// SequentialMS is the wall-clock of replaying the same workflows
-	// one-by-one on a single session; SpeedupVsSequential is that over the
-	// concurrent wall-clock. On a shared-scan engine concurrent users
-	// overlap both their think times and their memory sweeps, so the ratio
-	// should exceed 1 well before perfect scaling.
-	SequentialMS        float64
-	SpeedupVsSequential float64
-}
-
-// UserSweep measures multi-user scaling (the ROADMAP's "serve many users"
-// axis): for each engine and each user count U it replays U mixed workflows
-// as U concurrent simulated users over one prepared engine, and the same U
-// workflows sequentially on one session as the baseline. Engines default to
-// progressive (shared scans: users amortize memory sweeps) vs exactdb
-// (independent parallel scans: users compete), the contrast the shared-scan
-// scheduler was built for.
-func UserSweep(cfg Config) ([]UserSweepRow, error) {
-	return UserSweepUsers(cfg, DefaultUserCounts)
-}
-
-// UserSweepUsers is UserSweep with an explicit user-count axis.
-func UserSweepUsers(cfg Config, userCounts []int) ([]UserSweepRow, error) {
-	// Capture whether the caller named engines before withDefaults fills
-	// the standard four: with no explicit list, the sweep contrasts the
-	// shared-scan engine with the independent-scan one instead of running
-	// all of them.
-	engines := cfg.Engines
-	if len(engines) == 0 {
-		engines = []string{"progressive", "exactdb"}
-	}
+// userSweep measures multi-user scaling (the ROADMAP's "serve many users"
+// axis): for each engine and each user count U of cfg.Users it replays U
+// mixed workflows as U concurrent simulated users over one prepared engine,
+// and the same U workflows sequentially on one session as the baseline.
+// Engines default to progressive (shared scans: users amortize memory
+// sweeps) vs exactdb (independent parallel scans: users compete), the
+// contrast the shared-scan scheduler was built for. On a shared-scan engine
+// concurrent users overlap both their think times and their memory sweeps,
+// so speedup_vs_sequential should exceed 1 well before perfect scaling.
+func userSweep(cfg Config) ([]report.Point, error) {
+	engines := sweepEngines(cfg)
 	cfg = cfg.withDefaults()
-	maxUsers := 0
-	for _, u := range userCounts {
-		if u > maxUsers {
-			maxUsers = u
-		}
-	}
-	if maxUsers == 0 {
-		return nil, fmt.Errorf("experiments: empty user-count sweep")
-	}
-
-	db, err := core.BuildData(cfg.Rows, false, cfg.Seed)
+	r, err := newReplay(cfg, slices.Max(cfg.Users), 9000)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := workflowGenerator(db)
-	if err != nil {
-		return nil, err
-	}
-	// One mixed workflow per user, distinct seeds: each simulated analyst
-	// explores differently, like the paper's per-workflow variation.
-	flows := make([]*workflow.Workflow, maxUsers)
-	for i := range flows {
-		w, err := gen.Generate(workflow.GenConfig{
-			Type: workflow.Mixed, Interactions: cfg.Interactions,
-			Seed: cfg.Seed + int64(9000+i), Name: fmt.Sprintf("mixed-u%02d", i),
-		})
-		if err != nil {
-			return nil, err
-		}
-		flows[i] = w
-	}
-
-	tr := cfg.TRs[len(cfg.TRs)/2]
 	var allRecords []driver.Record
-	type pointKey struct {
-		driver string
-		users  int
-	}
-	// Keyed by Engine.Name() — the label records carry and SummarizeUsers
-	// groups by — not the registry name used to construct the engine
-	// (progressive-spec reports as "progressive", systemy as
-	// "idelayer(exactdb)").
-	seqMS := map[pointKey]float64{}
-	seenDriver := map[string]string{} // Engine.Name() -> registry name
+	// Keyed by Engine.Name()/users — the labels records carry and
+	// SummarizeUsers groups by — not the registry name used to construct the
+	// engine.
+	seqMS := map[string]float64{}
+	seen := map[string]string{}
 	for _, name := range engines {
-		s := core.DefaultSettings()
-		s.DataSize = cfg.Rows
-		s.Seed = cfg.Seed
-		s.ThinkTime = cfg.ThinkTime
-		s.TimeRequirement = tr
-		p, err := core.Prepare(name, db, s)
+		p, err := core.Prepare(name, r.db, r.s)
 		if err != nil {
 			return nil, err
 		}
 		drv := p.Engine.Name()
-		if prev, ok := seenDriver[drv]; ok {
-			return nil, fmt.Errorf("experiments: engines %q and %q both report driver name %q; "+
-				"their records would merge into one group — sweep them separately", prev, name, drv)
+		if err := claimDriver(seen, drv, name); err != nil {
+			return nil, err
 		}
-		seenDriver[drv] = name
-		for _, users := range userCounts {
-			recs, seq, err := runUserPoint(p.Engine, p.GT, s, flows[:users], users)
+		for _, users := range cfg.Users {
+			// The concurrent run goes first: its untimed prepass warms the
+			// ground-truth cache the sequential baseline then reads.
+			res, err := r.run(p.Engine, p.GT, users, nil)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s users=%d: %w", name, users, err)
 			}
-			allRecords = append(allRecords, recs...)
-			seqMS[pointKey{drv, users}] = seq
+			seq, err := r.sequentialMS(p.Engine, p.GT, users)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s users=%d sequential: %w", name, users, err)
+			}
+			allRecords = append(allRecords, res.Records...)
+			seqMS[drv+"/"+strconv.Itoa(users)] = seq
 		}
 	}
 	// One aggregation over every point's records: SummarizeUsers groups by
-	// (driver, users) and derives SpeedupVs1 against each driver's 1-user
-	// baseline, so the sweep reuses the report's rules instead of
-	// duplicating them. The sequential baseline ratios against the same
-	// wall-clock the row reports, keeping the artifact self-consistent.
-	var out []UserSweepRow
-	for _, scal := range report.SummarizeUsers(allRecords) {
-		row := UserSweepRow{UserScaling: scal, SequentialMS: seqMS[pointKey{scal.Driver, scal.Users}]}
-		if row.WallClockMS > 0 {
-			row.SpeedupVsSequential = row.SequentialMS / row.WallClockMS
+	// (driver, users) and derives speedup_vs_1user against each driver's
+	// 1-user baseline. The sequential baseline ratios against the same
+	// wall-clock the point reports, keeping the artifact self-consistent.
+	pts := report.SummarizeUsers(allRecords)
+	for _, pt := range pts {
+		m := pt.Metrics
+		m["sequential_ms"] = seqMS[pt.Labels["engine"]+"/"+pt.Labels["users"]]
+		m["speedup_vs_sequential"] = 0
+		if m["wall_clock_ms"] > 0 {
+			m["speedup_vs_sequential"] = m["sequential_ms"] / m["wall_clock_ms"]
 		}
-		out = append(out, row)
 	}
-
-	fmt.Fprintln(cfg.Out, "=== User scalability: concurrent analysts per engine (mixed workload) ===")
-	scal := make([]report.UserScaling, len(out))
-	for i, r := range out {
-		scal[i] = r.UserScaling
-	}
-	if err := report.RenderUserSweep(cfg.Out, scal); err != nil {
-		return nil, err
-	}
-	for _, r := range out {
-		fmt.Fprintf(cfg.Out, "%-12s users=%d concurrent=%.1fms sequential=%.1fms speedup_vs_sequential=%.2fx\n",
-			r.Driver, r.Users, r.WallClockMS, r.SequentialMS, r.SpeedupVsSequential)
-	}
-	return out, nil
+	return pts, nil
 }
 
-// runUserPoint measures one (engine, users) point, returning the concurrent
-// replay's records and the sequential single-session wall-clock over the
-// same flows. The concurrent run goes first — its untimed prepass warms the
-// ground-truth cache for these flows — and the sequential baseline then
-// replays with precomputation off, so both timed windows contain engine
-// work only and the speedup compares like with like.
-func runUserPoint(eng engine.Engine, gt *groundtruth.Cache, s core.Settings, flows []*workflow.Workflow, users int) ([]driver.Record, float64, error) {
-	cfg := driver.Config{
-		TimeRequirement: s.TimeRequirement,
-		ThinkTime:       s.ThinkTime,
-		DataSizeLabel:   core.SizeLabel(s.DataSize),
-	}
-
-	// Concurrent replay: one session per user, jittered like real analysts.
-	m := driver.NewMulti(eng, gt, driver.MultiConfig{
-		Config: cfg, Users: users, ThinkJitter: driver.DefaultThinkJitter, Seed: s.Seed,
-	})
-	res, err := m.Run(flows)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Sequential baseline: one analyst replays every workflow back-to-back
-	// against the now-warm ground-truth cache.
+// sequentialMS is the baseline: one analyst replays the first users
+// workflows back-to-back on one session against the already-warm
+// ground-truth cache, with precomputation off, so the timed window contains
+// engine work only and the speedup compares like with like.
+func (r *replay) sequentialMS(eng engine.Engine, gt *groundtruth.Cache, users int) (float64, error) {
 	noWarm := false
-	seqCfg := cfg
-	seqCfg.PrecomputeGroundTruth = &noWarm
-	seqStart := time.Now()
-	seqRunner := driver.New(eng, gt, seqCfg)
-	if _, err := seqRunner.RunWorkflows(flows); err != nil {
-		return nil, 0, err
+	cfg := r.driverConfig()
+	cfg.PrecomputeGroundTruth = &noWarm
+	start := time.Now()
+	if _, err := driver.New(eng, gt, cfg).RunWorkflows(r.plain[:users]); err != nil {
+		return 0, err
 	}
-	seqMS := float64(time.Since(seqStart)) / float64(time.Millisecond)
-	return res.Records, seqMS, nil
+	return msSince(start), nil
 }

@@ -62,8 +62,14 @@ func TestTransparentEcho(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("echo mismatch: %q != %q", got, msg)
 	}
-	if p.BytesUp.Load() != int64(len(msg)) || p.BytesDown.Load() != int64(len(msg)) {
-		t.Fatalf("byte counters: up=%d down=%d want %d", p.BytesUp.Load(), p.BytesDown.Load(), len(msg))
+	// The proxy counts a chunk after forwarding it, so the echo can reach
+	// the client a moment before the counters move.
+	n := int64(len(msg))
+	for deadline := time.Now().Add(2 * time.Second); (p.BytesUp.Load() < n || p.BytesDown.Load() < n) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if p.BytesUp.Load() != n || p.BytesDown.Load() != n {
+		t.Fatalf("byte counters: up=%d down=%d want %d", p.BytesUp.Load(), p.BytesDown.Load(), n)
 	}
 }
 

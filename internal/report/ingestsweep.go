@@ -1,76 +1,26 @@
 package report
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
-	"text/tabwriter"
 
 	"idebench/internal/driver"
 	"idebench/internal/metrics"
 )
 
-// IngestScaling is one row of the live-ingestion report: how one (driver,
-// concurrent-user-count) group behaved while append-only batches landed
-// during the replay. Record-derived fields come from SummarizeIngest; the
-// ingest throughput fields describe the applied batch stream and are filled
-// by the caller that owns the harness (records do not carry them).
-type IngestScaling struct {
-	Driver string
-	Users  int
-
-	// Queries counts executed queries; TRViolatedPct is the share cancelled
-	// at the deadline.
-	Queries       int
-	TRViolatedPct float64
-
-	// Staleness distribution over delivered results, in rows behind the
-	// live table at fetch time. FreshPct is the share of delivered results
-	// with zero staleness — answered at the newest data version.
-	StalenessMean float64
-	StalenessP95  float64
-	StalenessMax  float64
-	FreshPct      float64
-
-	// IngestedRows / IngestRowsPerSec describe the applied ingest stream
-	// (caller-filled; zero when unknown).
-	IngestedRows     int64
-	IngestRowsPerSec float64
-}
-
-// SummarizeIngest groups records by (driver, users) and aggregates the
-// staleness distribution of each group, sorted by driver then user count.
-// Records with negative staleness (nothing delivered, or a non-ingest run)
-// are excluded from the staleness stats but still counted as queries.
-func SummarizeIngest(records []driver.Record) []IngestScaling {
-	type key struct {
-		driver string
-		users  int
-	}
-	groups := map[key][]driver.Record{}
-	for _, r := range records {
-		users := r.Users
-		if users <= 0 {
-			users = 1
-		}
-		groups[key{r.Driver, users}] = append(groups[key{r.Driver, users}], r)
-	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].driver != keys[j].driver {
-			return keys[i].driver < keys[j].driver
-		}
-		return keys[i].users < keys[j].users
-	})
-
-	out := make([]IngestScaling, 0, len(keys))
-	for _, k := range keys {
-		recs := groups[k]
-		row := IngestScaling{Driver: k.driver, Users: k.users, Queries: len(recs)}
+// SummarizeIngest is the live-ingestion report: how each (driver, users)
+// group behaved while append-only batches landed during the replay. It
+// returns one point per group, labelled engine and users, sorted by driver
+// then user count, with queries, tr_violated_pct and the staleness
+// distribution over delivered results in rows behind the live table at
+// fetch time: staleness_mean_rows, staleness_p95_rows, staleness_max_rows
+// and fresh_pct, the share answered at the newest data version. Records
+// with negative staleness (nothing delivered, or a non-ingest run) are
+// excluded from the staleness stats, which are NaN without samples, but
+// still counted as queries.
+func SummarizeIngest(records []driver.Record) []Point {
+	var out []Point
+	groupByDriverUsers(records, func(drv string, users int, recs []driver.Record) {
 		violated := 0
 		var stale []float64
 		fresh := 0
@@ -85,37 +35,26 @@ func SummarizeIngest(records []driver.Record) []IngestScaling {
 				}
 			}
 		}
-		row.TRViolatedPct = 100 * float64(violated) / float64(len(recs))
+		m := map[string]float64{
+			"queries":             float64(len(recs)),
+			"tr_violated_pct":     100 * float64(violated) / float64(len(recs)),
+			"staleness_mean_rows": math.NaN(),
+			"staleness_p95_rows":  math.NaN(),
+			"staleness_max_rows":  math.NaN(),
+			"fresh_pct":           math.NaN(),
+		}
 		if len(stale) > 0 {
 			sort.Float64s(stale)
 			var sum float64
 			for _, s := range stale {
 				sum += s
 			}
-			row.StalenessMean = sum / float64(len(stale))
-			row.StalenessP95 = metrics.PercentileSorted(stale, 0.95)
-			row.StalenessMax = stale[len(stale)-1]
-			row.FreshPct = 100 * float64(fresh) / float64(len(stale))
-		} else {
-			row.StalenessMean = math.NaN()
-			row.StalenessP95 = math.NaN()
-			row.StalenessMax = math.NaN()
-			row.FreshPct = math.NaN()
+			m["staleness_mean_rows"] = sum / float64(len(stale))
+			m["staleness_p95_rows"] = metrics.PercentileSorted(stale, 0.95)
+			m["staleness_max_rows"] = stale[len(stale)-1]
+			m["fresh_pct"] = 100 * float64(fresh) / float64(len(stale))
 		}
-		out = append(out, row)
-	}
+		out = append(out, Point{Labels: engineUsers(drv, users), Metrics: m})
+	})
 	return out
-}
-
-// RenderIngestSweep writes the live-ingestion scalability table.
-func RenderIngestSweep(w io.Writer, rows []IngestScaling) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "driver\tusers\tqueries\ttr_violated%\tingested_rows\tingest_rows/s\tfresh%\tstale_mean\tstale_p95\tstale_max")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.1f\t%d\t%.0f\t%s\t%s\t%s\t%s\n",
-			r.Driver, r.Users, r.Queries, r.TRViolatedPct,
-			r.IngestedRows, r.IngestRowsPerSec,
-			fmtNaN(r.FreshPct), fmtNaN(r.StalenessMean), fmtNaN(r.StalenessP95), fmtNaN(r.StalenessMax))
-	}
-	return tw.Flush()
 }

@@ -30,23 +30,23 @@ func TestSummarizeIngestStaleness(t *testing.T) {
 		t.Fatalf("groups = %d, want 2", len(rows))
 	}
 	// Sorted by driver: exact first.
-	e, p := rows[0], rows[1]
-	if e.Driver != "exact" || p.Driver != "prog" {
-		t.Fatalf("group order: %s, %s", e.Driver, p.Driver)
+	if rows[0].Labels["engine"] != "exact" || rows[1].Labels["engine"] != "prog" {
+		t.Fatalf("group order: %v, %v", rows[0].Labels, rows[1].Labels)
 	}
-	if p.Queries != 5 || p.TRViolatedPct != 20 {
-		t.Errorf("prog queries=%d violated=%v", p.Queries, p.TRViolatedPct)
+	p := rows[1].Metrics
+	if p["queries"] != 5 || p["tr_violated_pct"] != 20 {
+		t.Errorf("prog queries=%v violated=%v", p["queries"], p["tr_violated_pct"])
 	}
-	if p.StalenessMean != 100 { // (0+0+100+300)/4
-		t.Errorf("mean staleness = %v, want 100", p.StalenessMean)
+	if p["staleness_mean_rows"] != 100 { // (0+0+100+300)/4
+		t.Errorf("mean staleness = %v, want 100", p["staleness_mean_rows"])
 	}
 	// P95 uses the same interpolated definition as the latency columns
 	// (metrics.Percentile): rank 0.95*(4-1)=2.85 → 100 + 0.85*(300-100).
-	if p.StalenessMax != 300 || math.Abs(p.StalenessP95-270) > 1e-9 {
-		t.Errorf("staleness p95=%v max=%v, want 270/300", p.StalenessP95, p.StalenessMax)
+	if p["staleness_max_rows"] != 300 || math.Abs(p["staleness_p95_rows"]-270) > 1e-9 {
+		t.Errorf("staleness p95=%v max=%v, want 270/300", p["staleness_p95_rows"], p["staleness_max_rows"])
 	}
-	if p.FreshPct != 50 {
-		t.Errorf("fresh%% = %v, want 50", p.FreshPct)
+	if p["fresh_pct"] != 50 {
+		t.Errorf("fresh%% = %v, want 50", p["fresh_pct"])
 	}
 }
 
@@ -55,33 +55,29 @@ func TestSummarizeIngestNoSamples(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("groups = %d", len(rows))
 	}
-	if !math.IsNaN(rows[0].StalenessMean) || !math.IsNaN(rows[0].FreshPct) {
-		t.Errorf("staleness stats over no samples should be NaN: %+v", rows[0])
+	if m := rows[0].Metrics; !math.IsNaN(m["staleness_mean_rows"]) || !math.IsNaN(m["fresh_pct"]) {
+		t.Errorf("staleness stats over no samples should be NaN: %+v", m)
 	}
 }
 
-// TestRenderIngestSweepGolden pins the ingest sweep report table format.
+// TestRenderIngestSweepGolden pins the ingest sweep table, including a
+// point with no staleness samples and one lacking a metric.
 func TestRenderIngestSweepGolden(t *testing.T) {
-	rows := []IngestScaling{
-		{Driver: "exactdb", Users: 1, Queries: 40, TRViolatedPct: 2.5,
-			StalenessMean: 120.25, StalenessP95: 400, StalenessMax: 500, FreshPct: 25,
-			IngestedRows: 8000, IngestRowsPerSec: 16000},
-		{Driver: "progressive", Users: 8, Queries: 320, TRViolatedPct: 0,
-			StalenessMean: 0, StalenessP95: 0, StalenessMax: 0, FreshPct: 100,
-			IngestedRows: 64000, IngestRowsPerSec: 128000},
-		{Driver: "progressive", Users: 2, Queries: 80, TRViolatedPct: 0,
-			StalenessMean: math.NaN(), StalenessP95: math.NaN(), StalenessMax: math.NaN(),
-			FreshPct: math.NaN()},
-	}
+	pts := SummarizeIngest([]driver.Record{
+		ingestRecord("exactdb", 1, 0, false),
+		ingestRecord("exactdb", 1, 250.5, false),
+		ingestRecord("exactdb", 1, -1, true),
+		ingestRecord("progressive", 2, -1, false),
+	})
+	pts[0].Metrics["ingested_rows"] = 8000
 	var buf bytes.Buffer
-	if err := RenderIngestSweep(&buf, rows); err != nil {
+	if err := RenderPoints(&buf, pts); err != nil {
 		t.Fatal(err)
 	}
 	golden := "" +
-		"driver       users  queries  tr_violated%  ingested_rows  ingest_rows/s  fresh%    stale_mean  stale_p95  stale_max\n" +
-		"exactdb      1      40       2.5           8000           16000          25.0000   120.2500    400.0000   500.0000\n" +
-		"progressive  8      320      0.0           64000          128000         100.0000  0.0000      0.0000     0.0000\n" +
-		"progressive  2      80       0.0           0              0                                               \n"
+		"engine       users  fresh_pct  ingested_rows  queries  staleness_max_rows  staleness_mean_rows  staleness_p95_rows  tr_violated_pct\n" +
+		"exactdb      1      50         8000           3        250.50              125.25               237.97              33.33\n" +
+		"progressive  2      -          -              1        -                   -                    -                   0\n"
 	if got := buf.String(); got != golden {
 		t.Errorf("ingest sweep table drifted:\n got:\n%s\nwant:\n%s", got, golden)
 	}

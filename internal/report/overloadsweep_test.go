@@ -6,11 +6,15 @@ import (
 	"testing"
 )
 
+func overloadPoint(rate string, rejected, shed float64) Point {
+	return Point{Labels: map[string]string{"rate": rate}, Metrics: map[string]float64{"rejected": rejected, "shed": shed}}
+}
+
 func TestFindKnee(t *testing.T) {
-	pts := []OverloadPoint{
-		{Rate: 100},
-		{Rate: 200, Shed: 3},
-		{Rate: 400, Rejected: 50, Shed: 10},
+	pts := []Point{
+		overloadPoint("100", 0, 0),
+		overloadPoint("200", 0, 3),
+		overloadPoint("400", 50, 10),
 	}
 	if got := FindKnee(pts); got != 1 {
 		t.Fatalf("knee at %d, want 1 (first point with shedding)", got)
@@ -23,28 +27,21 @@ func TestFindKnee(t *testing.T) {
 	}
 }
 
+// TestRenderOverloadSweep checks the table prints a metric a point lacks
+// as "-" and fractional metrics to two decimals.
 func TestRenderOverloadSweep(t *testing.T) {
-	pts := []OverloadPoint{
-		{Rate: 100, Offered: 200, Completed: 200, TTFSP99: 2.5, DoneP99: 8.1, DoneP999: 9.9},
-		{Rate: 800, Offered: 1600, Completed: 900, Rejected: 650, RejectedPct: 41.0,
-			Shed: 40, ViolationPct: 3.5, TTFSP99: 11.0, DoneP99: 24.0, DoneP999: 31.0},
-	}
+	pts := []Point{overloadPoint("100", 0, 0), overloadPoint("800", 650, 40)}
+	pts[1].Metrics["done_p99_ms"] = 24.5
 	var buf bytes.Buffer
-	if err := RenderOverloadSweep(&buf, pts); err != nil {
+	if err := RenderPoints(&buf, pts); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"rate/s", "done_p99.9", "<- knee", "knee at 800"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render output missing %q:\n%s", want, out)
-		}
+	var rows []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		rows = append(rows, strings.Join(strings.Fields(line), " "))
 	}
-
-	buf.Reset()
-	if err := RenderOverloadSweep(&buf, pts[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "no knee") {
-		t.Fatalf("under-capacity render missing no-knee note:\n%s", buf.String())
+	want := []string{"rate done_p99_ms rejected shed", "100 - 0 0", "800 24.50 650 40"}
+	if strings.Join(rows, "|") != strings.Join(want, "|") {
+		t.Fatalf("table rows %q, want %q", rows, want)
 	}
 }

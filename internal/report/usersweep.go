@@ -1,64 +1,25 @@
 package report
 
 import (
-	"fmt"
-	"io"
-	"math"
 	"sort"
-	"text/tabwriter"
+	"strconv"
 	"time"
 
 	"idebench/internal/driver"
 	"idebench/internal/metrics"
 )
 
-// UserScaling is one row of the user-scalability report: the aggregate
-// throughput and latency distribution of one (driver, concurrent-user-count)
-// group. It is the multi-user analogue of the paper's Fig. 5 row — instead
-// of sweeping the time requirement it sweeps how many simulated analysts
-// share one engine.
-type UserScaling struct {
-	Driver string
-	Users  int
-
-	// Queries counts executed queries; TRViolatedPct is the share cancelled
-	// at the deadline.
-	Queries       int
-	TRViolatedPct float64
-
-	// WallClockMS spans the group's records (first query issued → last
-	// result fetched); QueriesPerSec is Queries over that span — the
-	// aggregate throughput of all users together.
-	WallClockMS   float64
-	QueriesPerSec float64
-
-	// Latency percentiles of the driver-observed per-query latency, in
-	// milliseconds. A cancelled query's latency is the time requirement.
-	Latency metrics.LatencySummary
-
-	// SpeedupVs1 is this row's QueriesPerSec over the same driver's 1-user
-	// row (0 when no 1-user row exists). >1 means concurrent users get more
-	// total work done per second than a lone user — on a shared-scan engine
-	// because N users' queries ride one memory sweep.
-	SpeedupVs1 float64
-}
-
-// SummarizeUsers groups records by (driver, users) and aggregates each
-// group's throughput and latency distribution, sorted by driver then user
-// count. Records written before the multi-user driver existed (users == 0 in
-// old CSVs) count as single-user.
-func SummarizeUsers(records []driver.Record) []UserScaling {
+// groupByDriverUsers calls each once per (driver, users) group of records,
+// in driver then user-count order. Records written before the multi-user
+// driver existed (users == 0 in old CSVs) count as single-user.
+func groupByDriverUsers(records []driver.Record, each func(drv string, users int, recs []driver.Record)) {
 	type key struct {
 		driver string
 		users  int
 	}
 	groups := map[key][]driver.Record{}
 	for _, r := range records {
-		users := r.Users
-		if users <= 0 {
-			users = 1
-		}
-		k := key{r.Driver, users}
+		k := key{r.Driver, max(r.Users, 1)}
 		groups[k] = append(groups[k], r)
 	}
 	keys := make([]key, 0, len(groups))
@@ -71,12 +32,30 @@ func SummarizeUsers(records []driver.Record) []UserScaling {
 		}
 		return keys[i].users < keys[j].users
 	})
-
-	base := map[string]float64{} // driver -> 1-user throughput
-	out := make([]UserScaling, 0, len(keys))
 	for _, k := range keys {
-		recs := groups[k]
-		row := UserScaling{Driver: k.driver, Users: k.users, Queries: len(recs)}
+		each(k.driver, k.users, groups[k])
+	}
+}
+
+// SummarizeUsers is the user-scalability report, the multi-user analogue of
+// the paper's Fig. 5 row: instead of sweeping the time requirement it
+// sweeps how many simulated analysts share one engine. It returns one point
+// per (driver, users) group, labelled engine and users, sorted by driver
+// then user count, with these metrics:
+//
+//   - queries, and tr_violated_pct: the share cancelled at the deadline;
+//   - wall_clock_ms: the group's span, first query issued to last result
+//     fetched, and queries_per_sec: the aggregate throughput over it;
+//   - p50_ms, p95_ms, p99_ms: driver-observed query latency (a cancelled
+//     query's latency is the time requirement);
+//   - speedup_vs_1user: queries_per_sec over the same driver's 1-user group
+//     (0 without one). >1 means concurrent users get more total work done
+//     per second than a lone user — on a shared-scan engine because N
+//     users' queries ride one memory sweep.
+func SummarizeUsers(records []driver.Record) []Point {
+	base := map[string]float64{} // driver -> 1-user throughput
+	var out []Point
+	groupByDriverUsers(records, func(drv string, users int, recs []driver.Record) {
 		var first, last time.Time
 		lats := make([]float64, 0, len(recs))
 		violated := 0
@@ -92,39 +71,32 @@ func SummarizeUsers(records []driver.Record) []UserScaling {
 				violated++
 			}
 		}
-		row.TRViolatedPct = 100 * float64(violated) / float64(len(recs))
-		row.WallClockMS = float64(last.Sub(first)) / float64(time.Millisecond)
-		if row.WallClockMS > 0 {
-			row.QueriesPerSec = float64(row.Queries) / (row.WallClockMS / 1000)
+		wallMS := float64(last.Sub(first)) / float64(time.Millisecond)
+		qps, speedup := 0.0, 0.0
+		if wallMS > 0 {
+			qps = float64(len(recs)) / (wallMS / 1000)
 		}
-		row.Latency = metrics.SummarizeLatencies(lats)
-		if k.users == 1 {
-			base[k.driver] = row.QueriesPerSec
+		if users == 1 {
+			base[drv] = qps
 		}
-		if b := base[k.driver]; b > 0 {
-			row.SpeedupVs1 = row.QueriesPerSec / b
+		if b := base[drv]; b > 0 {
+			speedup = qps / b
 		}
-		out = append(out, row)
-	}
+		lat := metrics.SummarizeLatencies(lats)
+		out = append(out, Point{Labels: engineUsers(drv, users), Metrics: map[string]float64{
+			"queries":          float64(len(recs)),
+			"tr_violated_pct":  100 * float64(violated) / float64(len(recs)),
+			"wall_clock_ms":    wallMS,
+			"queries_per_sec":  qps,
+			"p50_ms":           lat.P50,
+			"p95_ms":           lat.P95,
+			"p99_ms":           lat.P99,
+			"speedup_vs_1user": speedup,
+		}})
+	})
 	return out
 }
 
-// RenderUserSweep writes the user-scalability table.
-func RenderUserSweep(w io.Writer, rows []UserScaling) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "driver\tusers\tqueries\ttr_violated%\twall_clock_ms\tqueries/s\tp50_ms\tp95_ms\tp99_ms\tspeedup_vs_1user")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.1f\t%.1f\t%.1f\t%s\t%s\t%s\t%s\n",
-			r.Driver, r.Users, r.Queries, r.TRViolatedPct, r.WallClockMS, r.QueriesPerSec,
-			fmtNaN(r.Latency.P50), fmtNaN(r.Latency.P95), fmtNaN(r.Latency.P99),
-			speedupOrDash(r.SpeedupVs1))
-	}
-	return tw.Flush()
-}
-
-func speedupOrDash(v float64) string {
-	if v == 0 || math.IsNaN(v) {
-		return "-"
-	}
-	return fmt.Sprintf("%.2fx", v)
+func engineUsers(drv string, users int) map[string]string {
+	return map[string]string{"engine": drv, "users": strconv.Itoa(users)}
 }

@@ -52,38 +52,37 @@ func TestSummarizeUsersThroughputAndPercentiles(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("got %d groups, want 2", len(rows))
 	}
-	one, two := rows[0], rows[1]
-	if one.Users != 1 || two.Users != 2 {
-		t.Fatalf("group order wrong: %+v", rows)
+	one, two := rows[0].Metrics, rows[1].Metrics
+	if rows[0].Labels["users"] != "1" || rows[1].Labels["users"] != "2" || rows[1].Labels["engine"] != "prog" {
+		t.Fatalf("group order or labels wrong: %+v", rows)
 	}
-	if one.Queries != 4 || two.Queries != 8 {
-		t.Fatalf("query counts wrong: %d, %d", one.Queries, two.Queries)
+	if one["queries"] != 4 || two["queries"] != 8 {
+		t.Fatalf("query counts wrong: %v, %v", one["queries"], two["queries"])
 	}
-	if math.Abs(one.WallClockMS-2000) > 1e-9 {
-		t.Errorf("1-user wall clock %v, want 2000", one.WallClockMS)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"1-user wall clock", one["wall_clock_ms"], 2000},
+		{"1-user throughput", one["queries_per_sec"], 2},
+		{"2-user throughput", two["queries_per_sec"], 4},
+		{"speedup vs 1 user", two["speedup_vs_1user"], 2},
+		{"violation pct", two["tr_violated_pct"], 12.5},
+	} {
+		if math.Abs(c.got-c.want) > 1e-9 {
+			t.Errorf("%s %v, want %v", c.name, c.got, c.want)
+		}
 	}
-	if math.Abs(one.QueriesPerSec-2) > 1e-9 {
-		t.Errorf("1-user throughput %v, want 2 q/s", one.QueriesPerSec)
-	}
-	if math.Abs(two.QueriesPerSec-4) > 1e-9 {
-		t.Errorf("2-user throughput %v, want 4 q/s", two.QueriesPerSec)
-	}
-	if math.Abs(two.SpeedupVs1-2) > 1e-9 {
-		t.Errorf("speedup vs 1 user %v, want 2", two.SpeedupVs1)
-	}
-	if math.Abs(two.TRViolatedPct-12.5) > 1e-9 {
-		t.Errorf("violation pct %v, want 12.5", two.TRViolatedPct)
-	}
-	if one.Latency.P50 != 100 {
-		t.Errorf("1-user P50 %v, want 100", one.Latency.P50)
+	if one["p50_ms"] != 100 {
+		t.Errorf("1-user P50 %v, want 100", one["p50_ms"])
 	}
 	// 7×50ms + 1×400ms: the violated query's deadline latency dominates the
 	// tail but not the median.
-	if two.Latency.P50 != 50 {
-		t.Errorf("2-user P50 %v, want 50", two.Latency.P50)
+	if two["p50_ms"] != 50 {
+		t.Errorf("2-user P50 %v, want 50", two["p50_ms"])
 	}
-	if two.Latency.P99 <= two.Latency.P50 {
-		t.Errorf("tail percentile %v should exceed the median %v", two.Latency.P99, two.Latency.P50)
+	if two["p99_ms"] <= two["p50_ms"] {
+		t.Errorf("tail percentile %v should exceed the median %v", two["p99_ms"], two["p50_ms"])
 	}
 }
 
@@ -95,46 +94,34 @@ func TestSummarizeUsersLegacyRecords(t *testing.T) {
 		sweepRecord("x", 1, 0, 100, 10, false),
 	}
 	rows := SummarizeUsers(recs)
-	if len(rows) != 1 || rows[0].Users != 1 || rows[0].Queries != 2 {
+	if len(rows) != 1 || rows[0].Labels["users"] != "1" || rows[0].Metrics["queries"] != 2 {
 		t.Fatalf("legacy records not folded into the 1-user group: %+v", rows)
 	}
 }
 
-// TestRenderUserSweepGolden pins the exact table the user sweep prints.
+// TestRenderUserSweepGolden pins the exact table the user sweep prints:
+// label columns, then metric columns, each sorted by key; whole numbers
+// without decimals, NaN latencies as "-".
 func TestRenderUserSweepGolden(t *testing.T) {
-	rows := []UserScaling{
-		{
-			Driver: "exactdb", Users: 1, Queries: 40, TRViolatedPct: 12.5,
-			WallClockMS: 812.4, QueriesPerSec: 49.2,
-			Latency: metrics.LatencySummary{Count: 40, P50: 3.21, P95: 11.08, P99: 12.4},
-		},
-		{
-			Driver: "progressive", Users: 1, Queries: 40,
-			WallClockMS: 700, QueriesPerSec: 57.1,
-			Latency:    metrics.LatencySummary{Count: 40, P50: 1.5, P95: 4.25, P99: 5},
-			SpeedupVs1: 1,
-		},
-		{
-			Driver: "progressive", Users: 8, Queries: 320,
-			WallClockMS: 1100.5, QueriesPerSec: 290.8,
-			Latency:    metrics.LatencySummary{Count: 320, P50: 2.75, P95: 9.5, P99: 14.125},
-			SpeedupVs1: 5.09,
-		},
-		{
-			Driver: "empty", Users: 2, Queries: 0,
-			Latency: metrics.LatencySummary{P50: math.NaN(), P95: math.NaN(), P99: math.NaN()},
-		},
+	point := func(engine, users string, queries, qps, p50, p95, p99, speedup float64) Point {
+		return Point{Labels: map[string]string{"engine": engine, "users": users}, Metrics: map[string]float64{
+			"queries": queries, "queries_per_sec": qps, "p50_ms": p50, "p95_ms": p95, "p99_ms": p99, "speedup_vs_1user": speedup,
+		}}
+	}
+	pts := []Point{
+		point("exactdb", "1", 40, 49.2, 3.21, 11.08, 12.4, 0),
+		point("progressive", "8", 320, 290.8, 2.75, 9.5, 14.125, 5.09),
+		point("empty", "2", 0, 0, math.NaN(), math.NaN(), math.NaN(), 0),
 	}
 	var buf bytes.Buffer
-	if err := RenderUserSweep(&buf, rows); err != nil {
+	if err := RenderPoints(&buf, pts); err != nil {
 		t.Fatal(err)
 	}
 	const golden = "" +
-		"driver       users  queries  tr_violated%  wall_clock_ms  queries/s  p50_ms  p95_ms   p99_ms   speedup_vs_1user\n" +
-		"exactdb      1      40       12.5          812.4          49.2       3.2100  11.0800  12.4000  -\n" +
-		"progressive  1      40       0.0           700.0          57.1       1.5000  4.2500   5.0000   1.00x\n" +
-		"progressive  8      320      0.0           1100.5         290.8      2.7500  9.5000   14.1250  5.09x\n" +
-		"empty        2      0        0.0           0.0            0.0                                  -\n"
+		"engine       users  p50_ms  p95_ms  p99_ms  queries  queries_per_sec  speedup_vs_1user\n" +
+		"exactdb      1      3.21    11.08   12.40   40       49.20            0\n" +
+		"progressive  8      2.75    9.50    14.12   320      290.80           5.09\n" +
+		"empty        2      -       -       -       0        0                0\n"
 	if got := buf.String(); got != golden {
 		t.Errorf("user-sweep table drifted from golden output:\n--- got ---\n%s--- want ---\n%s", got, golden)
 	}
