@@ -144,7 +144,13 @@
 // never the interning-order-dependent code), shared by the prepare-time
 // partitioner (shard.Partition) and the ingest router (shard.RouteBatch),
 // so every process derives the identical partition from -rows/-seed and
-// live batches land on the shard that owns them.
+// live batches land on the shard that owns them. shard.Partition hashes
+// column at a time on GOMAXPROCS goroutines (one FNV-1a state per row,
+// one tight loop per column kind) and materializes the partitions
+// concurrently, keeping rows in ascending order; the row-at-a-time hash is
+// kept as the reference it is tested against bit for bit. The coordinator
+// retains only the base view: partitions handed to replicas at Prepare
+// become garbage, and AddReplica derives one on demand.
 //
 // Queries fan out to every shard, which stream raw accumulator state —
 // engine.Partial: per-bin counts, Welford moments as IEEE-754 bits,

@@ -62,9 +62,11 @@ type replica struct {
 	// backends.
 	addr string
 	// matDB is the database in-process appends are materialized against:
-	// the partition database the replica was prepared from, or the
-	// transferred view for a rebalanced-in replica (whose dictionaries are
-	// its own). nil for pure wire sinks.
+	// the coordinator's base database for a replica prepared from a hash
+	// partition of it (partitions share the base's table name, schema,
+	// dictionaries and dimensions, which is all ingest.Materialize reads),
+	// or the transferred view for a rebalanced-in replica (whose
+	// dictionaries are its own).
 	matDB *dataset.Database
 
 	mu      sync.Mutex
@@ -170,9 +172,12 @@ type Coordinator struct {
 	mu       sync.Mutex
 	sets     [][]*replica // partition -> replica set; mutable via rebalance
 	prepared bool
-	partDBs  []*dataset.Database // shard-local dbs for Materialize and rebalance targets
-	steps    [][]wmStep          // per partition, ascending in both coordinates
-	global   int64               // global data version: base rows + all routed batch rows
+	// base is the database Prepare (or Restore) was given. The coordinator
+	// keeps no partition copies: AddReplica derives a partition from base on
+	// demand, and base-partition replicas materialize ingest against it.
+	base     *dataset.Database
+	steps    [][]wmStep // per partition, ascending in both coordinates
+	global   int64      // global data version: base rows + all routed batch rows
 	z        float64
 	prepOpts engine.Options
 	capture  [][]*ingest.Batch // per partition: non-nil while a rebalance captures the ingest tail
@@ -309,7 +314,9 @@ func (co *Coordinator) Name() string {
 // with its partition. For a *server.Remote backend, Prepare is the
 // client-side sanity check that the shard process serves exactly the
 // partition this coordinator computed (same dataset, same hash, same
-// fan-out).
+// fan-out). The coordinator retains db, not the partitions: once every
+// replica is prepared they are garbage (in-process engines keep what they
+// need of them).
 func (co *Coordinator) Prepare(db *dataset.Database, opts engine.Options) error {
 	opts = opts.Normalize()
 	z, err := stats.ZScore(opts.Confidence)
@@ -333,11 +340,11 @@ func (co *Coordinator) Prepare(db *dataset.Database, opts engine.Options) error 
 			if err := r.be.Prepare(parts[i], opts); err != nil {
 				return fmt.Errorf("shard: prepare %s: %w", r.name, err)
 			}
-			r.matDB = parts[i]
+			r.matDB = db
 		}
 	}
 	co.mu.Lock()
-	co.partDBs = parts
+	co.base = db
 	co.global = int64(db.Fact.NumRows())
 	co.steps = make([][]wmStep, nParts)
 	co.capture = make([][]*ingest.Batch, nParts)

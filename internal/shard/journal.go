@@ -416,13 +416,10 @@ func (co *Coordinator) Restore(db *dataset.Database, st *CoordState) error {
 		}
 	}
 
-	parts, err := Partition(db, nParts)
-	if err != nil {
-		return err
-	}
+	sizes := partitionSizes(db, nParts)
 	for i, set := range sets {
 		base := st.Steps[i][0].Local
-		if got := int64(parts[i].Fact.NumRows()); got != base {
+		if got := int64(sizes[i]); got != base {
 			return fmt.Errorf("shard: restore partition %d: derived base %d rows, journal says %d (different dataset?)",
 				i, got, base)
 		}
@@ -430,7 +427,7 @@ func (co *Coordinator) Restore(db *dataset.Database, st *CoordState) error {
 		for j, r := range set {
 			ps := st.Parts[i][j]
 			r.mu.Lock()
-			r.matDB = parts[i]
+			r.matDB = db
 			r.addr = ps.Addr
 			r.quarantined = ps.Quarantined
 			r.synced = !ps.Quarantined
@@ -442,7 +439,7 @@ func (co *Coordinator) Restore(db *dataset.Database, st *CoordState) error {
 	}
 
 	co.mu.Lock()
-	co.partDBs = parts
+	co.base = db
 	co.global = st.Global
 	co.steps = make([][]wmStep, nParts)
 	for i := range co.steps {

@@ -46,6 +46,8 @@ type coordHandle struct {
 	mu        sync.Mutex
 	parts     []partQuery
 	cancelled bool
+	memo      mergeInputs   // inputs of the last merge; see Snapshot
+	memoRes   *query.Result // the last merge
 }
 
 // newCoordHandle starts q on one replica per partition (preferring healthy,
@@ -224,6 +226,13 @@ func partialOf(sh engine.Handle) *engine.Partial {
 
 // Snapshot implements engine.Handle. See the type comment for the
 // coverage contract.
+//
+// The coordinator-wide co.mu is held only to read z and the global version
+// and to translate the fragment watermarks; the fold and render run after
+// it is released, so StartQuery fan-out, ingest routing and topology reads
+// never queue behind a large merge. Polls whose inputs (fragment pointers,
+// translated watermarks, global version, z) equal the previous merge's get
+// that merge's Result back without re-folding.
 func (h *coordHandle) Snapshot() *query.Result {
 	h.mu.Lock()
 	frags := make([]*engine.Partial, 0, len(h.parts))
@@ -247,37 +256,86 @@ func (h *coordHandle) Snapshot() *query.Result {
 			return nil
 		}
 	}
-	total := len(h.parts)
 	h.mu.Unlock()
 	if answered == 0 {
 		return nil
 	}
 
-	fold := engine.NewPartialFold(h.aggs)
+	in := mergeInputs{frags: frags, wms: make([]int64, len(frags))}
 	h.co.mu.Lock()
-	z := h.co.z
-	global := h.co.global
+	in.z, in.global = h.co.z, h.co.global
+	for i, p := range frags {
+		if p != nil {
+			in.wms[i] = h.co.translate(i, p.Watermark)
+		}
+	}
+	h.co.mu.Unlock()
+
+	h.mu.Lock()
+	if h.memo.equal(&in) {
+		res := h.memoRes
+		h.mu.Unlock()
+		return res
+	}
+	h.mu.Unlock()
+	res := h.merge(&in, answered)
+	h.mu.Lock()
+	h.memo, h.memoRes = in, res
+	h.mu.Unlock()
+	return res
+}
+
+// mergeInputs is everything one merged snapshot is a function of, besides
+// the handle's fixed aggregates and the coordinator's fixed MinCoverage.
+type mergeInputs struct {
+	frags  []*engine.Partial // per partition; nil = uncovered
+	wms    []int64           // per partition: fragment watermark on the global axis
+	global int64
+	z      float64
+}
+
+// equal compares fragments by pointer: a backend hands out a new Partial
+// whenever its state changes. Watermarks are compared too, since a
+// zero-row sub-batch advances a translated watermark under an unchanged
+// fragment. The zero value (no merge yet) equals no real input, which
+// always has at least one partition.
+func (a *mergeInputs) equal(b *mergeInputs) bool {
+	if a.global != b.global || a.z != b.z || len(a.frags) != len(b.frags) {
+		return false
+	}
+	for i := range a.frags {
+		if a.frags[i] != b.frags[i] || a.wms[i] != b.wms[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// merge folds in's fragments in partition-ID order and renders once,
+// applying the min-watermark rule and the coverage floor.
+func (h *coordHandle) merge(in *mergeInputs, answered int) *query.Result {
+	fold := engine.NewPartialFold(h.aggs)
 	minWM := int64(math.MaxInt64)
 	var popAnswered int64
-	for i, p := range frags {
+	for i, p := range in.frags {
 		if p == nil {
 			continue
 		}
 		fold.Add(p)
 		popAnswered += p.Population
-		if g := h.co.translate(i, p.Watermark); g < minWM {
-			minWM = g
+		if in.wms[i] < minWM {
+			minWM = in.wms[i]
 		}
 	}
-	h.co.mu.Unlock()
 
+	total := len(in.frags)
 	cov := &query.Coverage{
 		PartitionsAnswered: answered,
 		PartitionsTotal:    total,
 		Degraded:           answered < total,
 	}
-	if global > 0 {
-		cov.PopulationFraction = float64(popAnswered) / float64(global)
+	if in.global > 0 {
+		cov.PopulationFraction = float64(popAnswered) / float64(in.global)
 		if cov.PopulationFraction > 1 {
 			cov.PopulationFraction = 1
 		}
@@ -288,7 +346,7 @@ func (h *coordHandle) Snapshot() *query.Result {
 		// Below the floor: refuse rather than serve.
 		return nil
 	}
-	res := fold.Render(z)
+	res := fold.Render(in.z)
 	if res == nil {
 		return nil
 	}

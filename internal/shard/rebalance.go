@@ -32,16 +32,20 @@ func (co *Coordinator) AddReplicaAddr(part int, be engine.Engine, addr string) e
 		co.mu.Unlock()
 		return fmt.Errorf("shard: no partition %d", part)
 	}
-	partDB := co.partDBs[part]
+	base, nParts := co.base, len(co.sets)
 	opts := co.prepOpts
 	target := co.steps[part][len(co.steps[part])-1].Local
 	ordinal := len(co.sets[part])
 	co.mu.Unlock()
 
+	partDB, err := partitionOf(base, nParts, part)
+	if err != nil {
+		return err
+	}
 	if err := be.Prepare(partDB, opts); err != nil {
 		return fmt.Errorf("shard: add replica to partition %d: %w", part, err)
 	}
-	r := newReplica(be, replicaName(be, part, ordinal), partDB)
+	r := newReplica(be, replicaName(be, part, ordinal), base)
 	r.addr = addr
 	if r.watermark(int64(partDB.Fact.NumRows())) < target {
 		// Missed batches while it wasn't a member; serves stale until its

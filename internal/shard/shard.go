@@ -60,6 +60,8 @@ package shard
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"idebench/internal/dataset"
 	"idebench/internal/ingest"
@@ -107,7 +109,8 @@ func hashNum(h uint64, f float64) uint64 {
 // rowHashTable hashes one physical row of a materialized table. Nominal
 // cells hash their dictionary STRING, never the code: codes are an artifact
 // of interning order and would differ between a shard's private dictionary
-// and the coordinator's.
+// and the coordinator's. It is the row-at-a-time reference that the
+// column-at-a-time kernel (tableHashes) must match bit for bit.
 func rowHashTable(t *dataset.Table, r int) uint64 {
 	h := uint64(fnvOffset64)
 	for _, col := range t.Columns {
@@ -147,24 +150,238 @@ func HomeShard(row ingest.Row, n int) int {
 // foreign keys). Nominal partition columns share the parent dictionaries,
 // so codes remain comparable across shards prepared from the same build —
 // but the merge path never relies on that: routing and merging go through
-// values, not codes.
+// values, not codes. Rows keep their ascending physical order within each
+// partition.
 func Partition(db *dataset.Database, n int) ([]*dataset.Database, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shard: partition count %d, want >= 1", n)
 	}
-	fact := db.Fact
-	rows := make([][]uint32, n)
-	for r := 0; r < fact.NumRows(); r++ {
-		i := int(rowHashTable(fact, r) % uint64(n))
-		rows[i] = append(rows[i], uint32(r))
+	return materializeParts(db, assignRows(db.Fact, n, partitionWorkers(db.Fact.NumRows())))
+}
+
+// partitionOf derives partition i of an n-way Partition of db alone: the
+// same assignment, with only that partition materialized.
+func partitionOf(db *dataset.Database, n, i int) (*dataset.Database, error) {
+	if n <= 0 || i < 0 || i >= n {
+		return nil, fmt.Errorf("shard: partition %d of %d out of range", i, n)
 	}
-	out := make([]*dataset.Database, n)
-	for i := range out {
-		t, err := dataset.SelectRows(fact, rows[i])
-		if err != nil {
-			return nil, fmt.Errorf("shard: partition %d/%d: %w", i, n, err)
+	rows := assignRows(db.Fact, n, partitionWorkers(db.Fact.NumRows()))
+	parts, err := materializeParts(db, rows[i:i+1])
+	if err != nil {
+		return nil, err
+	}
+	return parts[0], nil
+}
+
+// partitionSizes returns the row count of each of db's n hash partitions
+// without materializing any of them.
+func partitionSizes(db *dataset.Database, n int) []int {
+	rows := assignRows(db.Fact, n, partitionWorkers(db.Fact.NumRows()))
+	sizes := make([]int, n)
+	for i, r := range rows {
+		sizes[i] = len(r)
+	}
+	return sizes
+}
+
+// hashBlock is the row block the kernel folds column by column: 2048 FNV
+// states (16 KiB) stay in L1 while every column streams through them.
+const hashBlock = 2048
+
+// minRowsPerWorker keeps small tables on one goroutine, where spawning
+// workers would cost more than the hashing.
+const minRowsPerWorker = 16 * hashBlock
+
+// partitionWorkers is the kernel's goroutine count for a table of rows
+// rows: GOMAXPROCS, but never so many that a worker gets a sliver.
+func partitionWorkers(rows int) int {
+	w := runtime.GOMAXPROCS(0)
+	if limit := (rows + minRowsPerWorker - 1) / minRowsPerWorker; w > limit {
+		w = limit
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
+// parallelFor runs body(k) for k in [0, w) on w goroutines and waits.
+func parallelFor(w int, body func(k int)) {
+	if w == 1 {
+		body(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for k := 0; k < w; k++ {
+		go func(k int) {
+			defer wg.Done()
+			body(k)
+		}(k)
+	}
+	wg.Wait()
+}
+
+// chunk returns worker k's row range when rows rows split across w
+// workers; trailing workers may get an empty range.
+func chunk(rows, w, k int) (lo, hi int) {
+	size := (rows + w - 1) / w
+	lo, hi = k*size, (k+1)*size
+	if lo > rows {
+		lo = rows
+	}
+	if hi > rows {
+		hi = rows
+	}
+	return lo, hi
+}
+
+// tableHashes computes rowHashTable for every row of t on w goroutines,
+// column at a time: each worker keeps one FNV-1a state per row of its range
+// and folds the columns into a block of states in turn, so the inner loops
+// run over one column's storage with no per-cell dispatch or locking.
+func tableHashes(t *dataset.Table, w int) []uint64 {
+	rows := t.NumRows()
+	h := make([]uint64, rows)
+	// One Dict.Values snapshot per nominal column: dictionaries are
+	// append-only and t already exists, so every code t holds indexes it.
+	vals := make([][]string, len(t.Columns))
+	for j, col := range t.Columns {
+		if col.Field.Kind == dataset.Nominal {
+			vals[j] = col.Dict.Values()
 		}
-		out[i] = &dataset.Database{Fact: t, Dimensions: db.Dimensions}
+	}
+	parallelFor(w, func(k int) {
+		lo, hi := chunk(rows, w, k)
+		for b := lo; b < hi; b += hashBlock {
+			e := b + hashBlock
+			if e > hi {
+				e = hi
+			}
+			foldRows(h[b:e], t, vals, b)
+		}
+	})
+	return h
+}
+
+// foldRows hashes rows [lo, lo+len(h)) of t into h, starting from the FNV
+// offset basis: the per-cell byte stream is exactly hashString's and
+// hashNum's, unrolled into one loop per column kind.
+func foldRows(h []uint64, t *dataset.Table, vals [][]string, lo int) {
+	for i := range h {
+		h[i] = fnvOffset64
+	}
+	for j, col := range t.Columns {
+		if col.Field.Kind == dataset.Nominal {
+			foldStrings(h, col.Codes[lo:lo+len(h)], vals[j], col.Dict)
+		} else {
+			foldNums(h, col.Nums[lo:lo+len(h)])
+		}
+	}
+}
+
+// foldNums folds one quantitative cell per state: the tag, then the eight
+// IEEE-754 bytes, low byte first.
+func foldNums(h []uint64, nums []float64) {
+	for i, f := range nums {
+		bits := math.Float64bits(f)
+		x := (h[i] ^ tagNum) * fnvPrime64
+		x = (x ^ bits&0xff) * fnvPrime64
+		x = (x ^ bits>>8&0xff) * fnvPrime64
+		x = (x ^ bits>>16&0xff) * fnvPrime64
+		x = (x ^ bits>>24&0xff) * fnvPrime64
+		x = (x ^ bits>>32&0xff) * fnvPrime64
+		x = (x ^ bits>>40&0xff) * fnvPrime64
+		x = (x ^ bits>>48&0xff) * fnvPrime64
+		x = (x ^ bits>>56) * fnvPrime64
+		h[i] = x
+	}
+}
+
+// foldStrings folds one nominal cell per state: the tag, the bytes of the
+// code's dictionary string, then the 0x00 terminator (whose XOR is a no-op,
+// leaving only the multiply). A code past the snapshot (only a corrupt
+// table has one) hashes Dict.Value's marker string, as rowHashTable does.
+func foldStrings(h []uint64, codes []uint32, vals []string, d *dataset.Dict) {
+	for i, c := range codes {
+		var s string
+		if int(c) < len(vals) {
+			s = vals[c]
+		} else {
+			s = d.Value(c)
+		}
+		x := (h[i] ^ tagStr) * fnvPrime64
+		for k := 0; k < len(s); k++ {
+			x = (x ^ uint64(s[k])) * fnvPrime64
+		}
+		h[i] = x * fnvPrime64
+	}
+}
+
+// assignRows returns, for each of n partitions, the physical rows of t that
+// hash to it, in ascending order, computed on w goroutines. Each worker
+// counts its range's rows per partition; prefix sums over (worker,
+// partition) then give every worker a disjoint, order-preserving slot
+// range in each partition's row list, which it fills without locks.
+func assignRows(t *dataset.Table, n, w int) [][]uint32 {
+	rows := t.NumRows()
+	h := tableHashes(t, w)
+	counts := make([][]int, w)
+	parallelFor(w, func(k int) {
+		lo, hi := chunk(rows, w, k)
+		c := make([]int, n)
+		for r := lo; r < hi; r++ {
+			p := h[r] % uint64(n)
+			h[r] = p // the full hash is no longer needed; keep the partition
+			c[p]++
+		}
+		counts[k] = c
+	})
+	out := make([][]uint32, n)
+	for p := range out {
+		size := 0
+		for k := range counts {
+			off := size
+			size += counts[k][p]
+			counts[k][p] = off // now worker k's first slot in partition p
+		}
+		out[p] = make([]uint32, size)
+	}
+	parallelFor(w, func(k int) {
+		lo, hi := chunk(rows, w, k)
+		next := counts[k]
+		for r := lo; r < hi; r++ {
+			p := h[r]
+			out[p][next[p]] = uint32(r)
+			next[p]++
+		}
+	})
+	return out
+}
+
+// materializeParts builds one database per row list, on up to GOMAXPROCS
+// goroutines, one partition at a time per goroutine.
+func materializeParts(db *dataset.Database, rows [][]uint32) ([]*dataset.Database, error) {
+	out := make([]*dataset.Database, len(rows))
+	errs := make([]error, len(rows))
+	w := runtime.GOMAXPROCS(0)
+	if w > len(rows) {
+		w = len(rows)
+	}
+	parallelFor(w, func(k int) {
+		for i := k; i < len(rows); i += w {
+			t, err := dataset.SelectRows(db.Fact, rows[i])
+			if err != nil {
+				errs[i] = fmt.Errorf("shard: materialize partition: %w", err)
+				continue
+			}
+			out[i] = &dataset.Database{Fact: t, Dimensions: db.Dimensions}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -370,5 +371,134 @@ func TestMinWatermarkUnderLaggingShard(t *testing.T) {
 	shards[0].frozen = 0
 	if got := co.Watermark(); got != grown {
 		t.Fatalf("coordinator watermark %d after catch-up, want %d", got, grown)
+	}
+}
+
+// TestSnapshotReusesUnchangedMerge: a poll whose inputs equal the previous
+// merge's returns that merge's Result without re-folding, and a routed
+// batch (which moves the global version and the translated watermarks
+// under the same, unchanged fragments) yields a fresh merge.
+func TestSnapshotReusesUnchangedMerge(t *testing.T) {
+	db := buildDB(t, 4000, 31)
+	shards := []*laggingEngine{{name: "fake0"}, {name: "fake1"}}
+	co, err := shard.NewCoordinator(shards[0], shards[1])
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	if err := co.Prepare(db, engine.Options{Confidence: 0.95, Seed: 31}); err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	base := int64(db.Fact.NumRows())
+	q := &query.Query{
+		VizName: "v", Table: db.Fact.Name,
+		Bins: []query.Binning{{Field: "carrier", Kind: dataset.Nominal}},
+		Aggs: []query.Aggregate{{Func: query.Count}},
+	}
+	h, err := co.StartQuery(q)
+	if err != nil {
+		t.Fatalf("StartQuery: %v", err)
+	}
+	<-h.Done()
+	first := h.Snapshot()
+	if first == nil || first.Watermark != base {
+		t.Fatalf("first merge %+v, want watermark %d", first, base)
+	}
+	if again := h.Snapshot(); again != first {
+		t.Fatalf("unchanged inputs re-merged: got a new Result")
+	}
+
+	// Route a batch whose rows all home to shard 1: shard 0's sub-batch is
+	// empty, so its unchanged base fragment now translates to the new global
+	// version, while shard 1's base fragment still translates to base.
+	var rows []int
+	for r := 0; r < db.Fact.NumRows() && len(rows) < 50; r++ {
+		b := ingest.FromTable(db.Fact, r, r+1)
+		if shard.HomeShard(b.Rows[0], 2) == 1 {
+			rows = append(rows, r)
+		}
+	}
+	b := &ingest.Batch{Table: db.Fact.Name, Seq: 1}
+	for _, r := range rows {
+		b.Rows = append(b.Rows, ingest.FromTable(db.Fact, r, r+1).Rows[0])
+	}
+	if err := co.ApplyBatch(b, nil); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	grown := base + int64(len(rows))
+	next := h.Snapshot()
+	if next == first {
+		t.Fatalf("merge reused across a routed batch")
+	}
+	if next.Watermark != base {
+		t.Fatalf("merged watermark %d, want min %d", next.Watermark, base)
+	}
+	if want := float64(base) / float64(grown); next.Coverage.PopulationFraction != want {
+		t.Fatalf("population fraction %v, want %v", next.Coverage.PopulationFraction, want)
+	}
+	if h.Snapshot() != next {
+		t.Fatalf("unchanged inputs re-merged after the batch")
+	}
+}
+
+// TestSnapshotConcurrentPolls polls one merged handle from several
+// goroutines while batches route through the coordinator: the memo and the
+// lock-free fold must stay race-free (run under -race), and once ingest
+// stops every poller converges on one merge at the final global version.
+func TestSnapshotConcurrentPolls(t *testing.T) {
+	db := buildDB(t, 4000, 37)
+	shards := []*laggingEngine{{name: "fake0"}, {name: "fake1"}}
+	co, err := shard.NewCoordinator(shards[0], shards[1])
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	if err := co.Prepare(db, engine.Options{Confidence: 0.95, Seed: 37}); err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	h, err := co.StartQuery(&query.Query{
+		VizName: "v", Table: db.Fact.Name,
+		Bins: []query.Binning{{Field: "carrier", Kind: dataset.Nominal}},
+		Aggs: []query.Aggregate{{Func: query.Count}},
+	})
+	if err != nil {
+		t.Fatalf("StartQuery: %v", err)
+	}
+	<-h.Done()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if h.Snapshot() == nil {
+					t.Error("nil merged snapshot of a finished query")
+					return
+				}
+			}
+		}()
+	}
+	for seq := int64(1); seq <= 20; seq++ {
+		b := ingest.FromTable(db.Fact, int(seq-1)*10, int(seq)*10)
+		b.Seq = seq
+		if err := co.ApplyBatch(b, nil); err != nil {
+			t.Fatalf("ApplyBatch %d: %v", seq, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	final := h.Snapshot()
+	grown := float64(db.Fact.NumRows() + 200)
+	if want := float64(db.Fact.NumRows()) / grown; final.Coverage.PopulationFraction != want {
+		t.Fatalf("population fraction %v after ingest, want %v", final.Coverage.PopulationFraction, want)
+	}
+	if h.Snapshot() != final {
+		t.Fatalf("quiet polls re-merged")
 	}
 }
