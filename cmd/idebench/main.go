@@ -824,18 +824,17 @@ func cmdShard(args []string) error {
 	}
 
 	// Every tier member builds the same full dataset and computes the same
-	// deterministic hash partitioning; this process keeps partition
-	// -shard-index and drops the rest. Nothing is shipped between processes
-	// at prepare time.
+	// deterministic hash partitioning; this process materializes only
+	// partition -shard-index. Nothing is shipped between processes at
+	// prepare time.
 	db, err := core.BuildData(*rows, false, *seed)
 	if err != nil {
 		return err
 	}
-	parts, err := shard.Partition(db, *shardCount)
+	part, err := shard.PartitionOf(db, *shardCount, *shardIndex)
 	if err != nil {
 		return err
 	}
-	part := parts[*shardIndex]
 
 	s := core.DefaultSettings()
 	s.DataSize = *rows

@@ -150,7 +150,9 @@
 // concurrently, keeping rows in ascending order; the row-at-a-time hash is
 // kept as the reference it is tested against bit for bit. The coordinator
 // retains only the base view: partitions handed to replicas at Prepare
-// become garbage, and AddReplica derives one on demand.
+// become garbage, and AddReplica derives one on demand, as does each
+// `idebench shard` process at boot (shard.PartitionOf materializes only
+// its own partition).
 //
 // Queries fan out to every shard, which stream raw accumulator state —
 // engine.Partial: per-bin counts, Welford moments as IEEE-754 bits,
@@ -212,7 +214,14 @@
 // with its CRC and an overall content digest; a checkpoint is written to a
 // temp directory, fsynced, and renamed into place with the manifest last,
 // so a crashed writer leaves either a fully valid checkpoint or ignorable
-// debris. The ingest WAL records every batch (the same fuzzed wire format
+// debris. Segments are streamed, never materialized whole: a
+// dataset.TableEncoder fills a few reused 1 MiB buffers, a writer goroutine
+// CRCs, writes and fsyncs each segment file while a second goroutine feeds
+// the content digest, so a segment's fsync overlaps the digest of its tail;
+// the bytes, the manifest and the commit sequence (segments fsynced,
+// manifest last, rename, directory fsync) are those of writing each segment
+// whole. A warm load likewise digests on its own goroutine while each
+// segment's CRC check and decode run, and returns nothing unless all match. The ingest WAL records every batch (the same fuzzed wire format
 // ingest frames use) in CRC-framed, version-chained records, fsynced
 // *before* the engine applies the batch or any client hears an ack — the
 // write-ahead hook (ingest.Applier.SetLog) runs under the apply mutex after

@@ -3,6 +3,7 @@ package dataset
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -44,17 +45,50 @@ const maxDecodeElems = 1 << 32
 
 // EncodeTable serializes t into the stable checkpoint format.
 func EncodeTable(t *Table) []byte {
-	// Pre-size: headers are small; column payloads dominate.
-	buf := make([]byte, 0, 64+tableBytes(t))
-	buf = append(buf, tableMagic...)
-	buf = appendString16(buf, t.Name)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Schema.Len()))
+	e := NewTableEncoder(t)
+	buf := make([]byte, e.Size())
+	_, _ = e.Read(buf) // a Read into exactly Size bytes fills them all
+	return buf
+}
+
+// TableEncoder streams EncodeTable's bytes through caller-supplied buffers,
+// so a checkpoint writer can push a table of any size through a few reused
+// chunks instead of materializing the whole encoding. Every Read fills p
+// completely until the encoding runs out; values and dictionary entries that
+// straddle two Reads are split byte-exactly. The table must not change while
+// it is being encoded (table views never do).
+type TableEncoder struct {
+	t    *Table
+	size int64
+	// dicts holds each nominal column's dictionary pinned to the prefix its
+	// codes reference (see NewTableEncoder); nil for quantitative columns.
+	dicts [][]string
+
+	col     int  // column being emitted; len(t.Columns) once done
+	started bool // the current column's prologue has been emitted
+	dict    int  // next dictionary entry of the current column
+	row     int  // next row of the current column
+
+	pend []byte // bytes owed before anything else: a header piece or a split value
+	buf  []byte // backing store pend reuses
+}
+
+// NewTableEncoder returns an encoder positioned at the start of t's
+// encoding. It pays one pass over each nominal column's codes to pin its
+// dictionary, and memoizes quantitative bounds (MinMax), up front.
+func NewTableEncoder(t *Table) *TableEncoder {
+	e := &TableEncoder{t: t, dicts: make([][]string, len(t.Columns))}
+	e.buf = append(e.buf, tableMagic...)
+	e.buf = appendString16(e.buf, t.Name)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(t.Schema.Len()))
 	for _, f := range t.Schema.Fields {
-		buf = append(buf, byte(f.Kind))
-		buf = appendString16(buf, f.Name)
+		e.buf = append(e.buf, byte(f.Kind))
+		e.buf = appendString16(e.buf, f.Name)
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.NumRows()))
-	for _, c := range t.Columns {
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(t.NumRows()))
+	e.pend = e.buf
+	e.size = int64(len(e.buf))
+	for i, c := range t.Columns {
 		if c.Field.Kind == Nominal {
 			// Pin the serialized dictionary to the prefix the snapshotted
 			// codes actually reference. The dictionary is shared and
@@ -66,40 +100,115 @@ func EncodeTable(t *Table) []byte {
 			// it stood when the view's last row was appended: interning
 			// happens row-by-row, so every code < maxRef+1 was assigned at or
 			// before the row that references maxRef.
-			values := c.Dict.Values()
 			dictLen := uint32(0)
 			for _, code := range c.Codes {
 				if code+1 > dictLen {
 					dictLen = code + 1
 				}
 			}
-			values = values[:dictLen]
-			buf = binary.LittleEndian.AppendUint32(buf, dictLen)
-			for _, v := range values {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-				buf = append(buf, v...)
-			}
-			for _, code := range c.Codes {
-				buf = binary.LittleEndian.AppendUint32(buf, code)
+			e.dicts[i] = c.Dict.Values()[:dictLen]
+			e.size += 4 + 4*int64(len(c.Codes))
+			for _, v := range e.dicts[i] {
+				e.size += 4 + int64(len(v))
 			}
 		} else {
 			// MinMax (not the raw memo fields) keeps the encoding
 			// deterministic regardless of whether a caller already warmed
 			// the bounds: it computes them on first use.
-			lo, hi, ok := c.MinMax()
-			if ok {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(lo))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(hi))
-			for _, v := range c.Nums {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
+			c.MinMax()
+			e.size += 17 + 8*int64(len(c.Nums))
 		}
 	}
-	return buf
+	return e
+}
+
+// Size returns the total length of the encoding.
+func (e *TableEncoder) Size() int64 { return e.size }
+
+// Read implements io.Reader. It returns len(p) bytes until the encoding
+// runs out, then the remainder, then 0 and io.EOF.
+func (e *TableEncoder) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		if len(e.pend) > 0 {
+			k := copy(p[n:], e.pend)
+			e.pend = e.pend[k:]
+			n += k
+			continue
+		}
+		if e.col == len(e.t.Columns) {
+			if n == 0 {
+				return 0, io.EOF
+			}
+			break
+		}
+		n += e.step(p[n:])
+	}
+	return n, nil
+}
+
+// step advances the current column. It writes whole row values straight
+// into dst and returns their byte count, or queues the next small piece
+// (prologue, dictionary entry, or a row value too wide for dst) in e.pend
+// and returns 0.
+func (e *TableEncoder) step(dst []byte) int {
+	c := e.t.Columns[e.col]
+	nominal := c.Field.Kind == Nominal
+	switch {
+	case !e.started:
+		e.started = true
+		if nominal {
+			e.queue(binary.LittleEndian.AppendUint32(e.buf[:0], uint32(len(e.dicts[e.col]))))
+		} else {
+			lo, hi, ok := c.MinMax()
+			b := append(e.buf[:0], 0)
+			if ok {
+				b[0] = 1
+			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(lo))
+			e.queue(binary.LittleEndian.AppendUint64(b, math.Float64bits(hi)))
+		}
+	case nominal && e.dict < len(e.dicts[e.col]):
+		v := e.dicts[e.col][e.dict]
+		e.dict++
+		e.queue(append(binary.LittleEndian.AppendUint32(e.buf[:0], uint32(len(v))), v...))
+	case nominal && e.row < len(c.Codes):
+		codes := c.Codes[e.row:]
+		k := min(len(dst)/4, len(codes))
+		if k == 0 {
+			e.row++
+			e.queue(binary.LittleEndian.AppendUint32(e.buf[:0], codes[0]))
+			return 0
+		}
+		for i, code := range codes[:k] {
+			binary.LittleEndian.PutUint32(dst[4*i:], code)
+		}
+		e.row += k
+		return 4 * k
+	case !nominal && e.row < len(c.Nums):
+		nums := c.Nums[e.row:]
+		k := min(len(dst)/8, len(nums))
+		if k == 0 {
+			e.row++
+			e.queue(binary.LittleEndian.AppendUint64(e.buf[:0], math.Float64bits(nums[0])))
+			return 0
+		}
+		for i, v := range nums[:k] {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+		}
+		e.row += k
+		return 8 * k
+	default:
+		e.col++
+		e.started, e.dict, e.row = false, 0, 0
+	}
+	return 0
+}
+
+// queue makes b (built in e.buf) the pending piece, keeping its backing
+// array for the next one.
+func (e *TableEncoder) queue(b []byte) {
+	e.buf, e.pend = b, b
 }
 
 // DecodeTable reconstructs a table from EncodeTable output. It never

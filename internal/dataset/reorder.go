@@ -1,6 +1,11 @@
 package dataset
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // ReorderTable materializes t with its rows permuted: row i of the result is
 // row perm[i] of t. The progressive engines use it at prepare time to store
@@ -14,7 +19,9 @@ import "fmt"
 // whose values are dimension row indices and therefore survive a fact-side
 // reorder untouched) carry their memoized min/max bounds over — a permutation
 // preserves the value multiset, so the reordered table skips the O(n)
-// bounds pass NewTable would otherwise pay per column.
+// bounds pass NewTable would otherwise pay per column. Columns are gathered
+// on up to GOMAXPROCS goroutines (one for small tables), each taking the
+// next column still to do.
 func ReorderTable(t *Table, perm []uint32) (*Table, error) {
 	n := t.NumRows()
 	if len(perm) != n {
@@ -28,24 +35,62 @@ func ReorderTable(t *Table, perm []uint32) (*Table, error) {
 		seen[p] = true
 	}
 	cols := make([]*Column, len(t.Columns))
-	for i, c := range t.Columns {
-		nc := &Column{Field: c.Field, Dict: c.Dict}
-		if c.Field.Kind == Nominal {
-			nc.Codes = make([]uint32, n)
-			for j, p := range perm {
-				nc.Codes[j] = c.Codes[p]
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	w := reorderWorkers(n, len(cols))
+	wg.Add(w)
+	for k := 0; k < w; k++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(cols); i = int(next.Add(1) - 1) {
+				cols[i] = reorderColumn(t.Columns[i], perm)
 			}
-		} else {
-			nc.Nums = make([]float64, n)
-			for j, p := range perm {
-				nc.Nums[j] = c.Nums[p]
-			}
-			lo, hi, ok := c.MinMax()
-			nc.seedMinMax(lo, hi, ok)
-		}
-		cols[i] = nc
+		}()
 	}
+	wg.Wait()
 	return NewTable(t.Name, t.Schema, cols)
+}
+
+// reorderColumn gathers c's values in perm order.
+func reorderColumn(c *Column, perm []uint32) *Column {
+	nc := &Column{Field: c.Field, Dict: c.Dict}
+	if c.Field.Kind == Nominal {
+		nc.Codes = make([]uint32, len(perm))
+		for j, p := range perm {
+			nc.Codes[j] = c.Codes[p]
+		}
+		return nc
+	}
+	nc.Nums = make([]float64, len(perm))
+	for j, p := range perm {
+		nc.Nums[j] = c.Nums[p]
+	}
+	lo, hi, ok := c.MinMax()
+	nc.seedMinMax(lo, hi, ok)
+	return nc
+}
+
+// minCellsPerWorker keeps small tables on one goroutine, where spawning
+// workers would cost more than the gather.
+const minCellsPerWorker = 1 << 18
+
+// reorderWorkers is ReorderTable's goroutine count for a table of rows ×
+// cols cells: GOMAXPROCS, but never more than one per column nor so many
+// that a worker gets a sliver.
+func reorderWorkers(rows, cols int) int {
+	w := runtime.GOMAXPROCS(0)
+	if limit := (rows*cols + minCellsPerWorker - 1) / minCellsPerWorker; w > limit {
+		w = limit
+	}
+	if w > cols {
+		w = cols
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
 }
 
 // seedMinMax pre-fills the memoized bounds of a freshly built column whose

@@ -1,15 +1,19 @@
 package durable
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"idebench/internal/dataset"
 )
@@ -128,55 +132,31 @@ func writeCheckpoint(fs FS, root string, meta Meta, db *dataset.Database, perm [
 		return 0, fmt.Errorf("durable: checkpoint: %w", err)
 	}
 
-	m := Manifest{
-		Format:   FormatVersion,
-		Engine:   meta.Engine,
-		Seed:     meta.Seed,
-		BaseRows: meta.BaseRows,
-		Version:  version,
-	}
-	sha := sha256.New()
-	var total int64
-	writeSeg := func(name, role, fk string, data []byte) error {
-		f, err := fs.Create(filepath.Join(tmp, name))
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(data); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		sha.Write(data)
-		total += int64(len(data))
-		m.Files = append(m.Files, ManifestFile{
-			Name: name, Role: role, Bytes: int64(len(data)),
-			CRC32: crc32.ChecksumIEEE(data), FKColumn: fk,
-		})
-		return nil
-	}
-
-	if err := writeSeg("fact.seg", roleFact, "", dataset.EncodeTable(db.Fact)); err != nil {
-		return fail(err)
-	}
+	segs := []segment{{name: "fact.seg", role: roleFact, r: dataset.NewTableEncoder(db.Fact)}}
 	for i, d := range db.Dimensions {
-		name := fmt.Sprintf("dim-%02d.seg", i)
-		if err := writeSeg(name, roleDim, d.FKColumn, dataset.EncodeTable(d.Table)); err != nil {
-			return fail(err)
-		}
+		segs = append(segs, segment{name: fmt.Sprintf("dim-%02d.seg", i), role: roleDim,
+			fk: d.FKColumn, r: dataset.NewTableEncoder(d.Table)})
 	}
 	if len(perm) > 0 {
-		if err := writeSeg("perm.seg", rolePerm, "", encodePerm(perm)); err != nil {
-			return fail(err)
-		}
+		segs = append(segs, segment{name: "perm.seg", role: rolePerm, r: bytes.NewReader(encodePerm(perm))})
 	}
-	m.ContentSHA256 = hex.EncodeToString(sha.Sum(nil))
+	files, digest, err := writeSegments(fs, tmp, segs)
+	if err != nil {
+		return fail(err)
+	}
+	m := Manifest{
+		Format:        FormatVersion,
+		Engine:        meta.Engine,
+		Seed:          meta.Seed,
+		BaseRows:      meta.BaseRows,
+		Version:       version,
+		Files:         files,
+		ContentSHA256: hex.EncodeToString(digest),
+	}
+	var total int64
+	for _, f := range files {
+		total += f.Bytes
+	}
 
 	mf, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
@@ -209,6 +189,167 @@ func writeCheckpoint(fs FS, root string, meta Meta, db *dataset.Database, perm [
 	return total, nil
 }
 
+// segment is one checkpoint file: its manifest identity and its bytes.
+type segment struct {
+	name, role, fk string
+	r              io.Reader
+}
+
+// The segment pipeline's buffers. pipeBufs bounds memory (pipeBufs ×
+// pipeChunk) and how far the encoder and writer may run ahead of the
+// digest; the writer's fsync of a segment overlaps the digest of its last
+// pipeBufs chunks.
+const (
+	pipeChunk = 1 << 20
+	pipeBufs  = 16
+)
+
+// segChunk is one filled buffer of segment seg, or (buf == nil) the end of
+// that segment.
+type segChunk struct {
+	seg int
+	buf []byte
+}
+
+// writeSegments streams segs, in order, into files in dir and returns their
+// manifest entries and the SHA-256 over all their bytes. Three stages run
+// at once over pipeBufs reused buffers: this goroutine encodes; a writer
+// computes each file's CRC, writes it, and fsyncs and closes it as soon as
+// its last chunk is written; a hasher feeds the content digest and hands
+// the buffers back. The bytes, their order and the per-file sync are those
+// of writing each segment whole. On error nothing is returned and both
+// goroutines have exited; the caller removes dir.
+func writeSegments(fs FS, dir string, segs []segment) ([]ManifestFile, []byte, error) {
+	// Buffers are made on demand, up to pipeBufs, so a small checkpoint
+	// allocates only what it streams; the hasher hands each one back.
+	free := make(chan []byte, pipeBufs)
+	made := 0
+	take := func() []byte {
+		select {
+		case b := <-free:
+			return b
+		default:
+		}
+		if made < pipeBufs {
+			made++
+			return make([]byte, pipeChunk)
+		}
+		return <-free
+	}
+	// Sized to every send the producer can make, so it blocks only on free.
+	toWrite := make(chan segChunk, pipeBufs+len(segs))
+	toHash := make(chan []byte, pipeBufs)
+	var (
+		wg      sync.WaitGroup
+		failed  atomic.Bool
+		digest  []byte
+		w       = segWriter{fs: fs, dir: dir}
+		werr    error
+		readErr error
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		h := sha256.New()
+		for b := range toHash {
+			h.Write(b)
+			free <- b[:cap(b)]
+		}
+		digest = h.Sum(nil)
+	}()
+	go func() {
+		defer wg.Done()
+		defer close(toHash)
+		for c := range toWrite {
+			if werr == nil {
+				if werr = w.put(segs[c.seg], c.buf); werr != nil {
+					failed.Store(true)
+				}
+			}
+			if c.buf != nil {
+				toHash <- c.buf
+			}
+		}
+		w.close()
+	}()
+
+	for i := 0; i < len(segs) && !failed.Load() && readErr == nil; i++ {
+		for !failed.Load() {
+			b := take()
+			n, err := io.ReadFull(segs[i].r, b)
+			if n > 0 {
+				toWrite <- segChunk{seg: i, buf: b[:n]}
+			} else {
+				free <- b
+			}
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				toWrite <- segChunk{seg: i}
+				break
+			}
+			if err != nil {
+				readErr = fmt.Errorf("encode %s: %w", segs[i].name, err)
+				break
+			}
+		}
+	}
+	close(toWrite)
+	wg.Wait()
+	if werr != nil {
+		return nil, nil, werr
+	}
+	if readErr != nil {
+		return nil, nil, readErr
+	}
+	return w.files, digest, nil
+}
+
+// segWriter is the pipeline's write stage: one open segment file at a time,
+// with the running CRC and length of what it wrote.
+type segWriter struct {
+	fs    FS
+	dir   string
+	f     File
+	crc   uint32
+	n     int64
+	files []ManifestFile
+}
+
+// put appends buf to segment s, creating its file on the first chunk. A nil
+// buf ends the segment: fsync, close, and record its manifest entry.
+func (w *segWriter) put(s segment, buf []byte) error {
+	if w.f == nil {
+		f, err := w.fs.Create(filepath.Join(w.dir, s.name))
+		if err != nil {
+			return err
+		}
+		w.f, w.crc, w.n = f, 0, 0
+	}
+	if buf != nil {
+		w.crc = crc32.Update(w.crc, crc32.IEEETable, buf)
+		w.n += int64(len(buf))
+		_, err := w.f.Write(buf)
+		return err
+	}
+	f := w.f
+	w.f = nil
+	err := f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		w.files = append(w.files, ManifestFile{Name: s.name, Role: s.role, Bytes: w.n, CRC32: w.crc, FKColumn: s.fk})
+	}
+	return err
+}
+
+// close releases the file a failed put left open.
+func (w *segWriter) close() {
+	if w.f != nil {
+		_ = w.f.Close()
+		w.f = nil
+	}
+}
+
 // readManifest loads and sanity-checks a checkpoint's manifest.
 func readManifest(fs FS, dir string) (Manifest, error) {
 	var m Manifest
@@ -228,50 +369,33 @@ func readManifest(fs FS, dir string) (Manifest, error) {
 // loadCheckpoint reads and fully verifies the checkpoint in dir: every
 // listed file must exist with the manifested size, CRC and aggregate
 // SHA-256, and decode cleanly. Anything less is an error — the caller
-// falls back to an older checkpoint rather than serve partial state.
+// falls back to an older checkpoint rather than serve partial state. The
+// aggregate digest runs on its own goroutine alongside each segment's CRC
+// check and decode; nothing decoded is returned unless it matches too.
 func loadCheckpoint(fs FS, dir string) (*Checkpoint, error) {
 	m, err := readManifest(fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	ck := &Checkpoint{Manifest: m}
-	sha := sha256.New()
-	var fact *dataset.Table
-	var dims []*dataset.Dimension
-	for _, mf := range m.Files {
-		data, err := fs.ReadFile(filepath.Join(dir, mf.Name))
-		if err != nil {
-			return nil, fmt.Errorf("durable: checkpoint segment %s: %w", mf.Name, err)
+	toHash := make(chan []byte, len(m.Files)) // one send per segment: never blocks
+	digest := make(chan string, 1)
+	go func() {
+		h := sha256.New()
+		for data := range toHash {
+			h.Write(data)
 		}
-		if int64(len(data)) != mf.Bytes {
-			return nil, fmt.Errorf("durable: checkpoint segment %s: %d bytes, manifest says %d", mf.Name, len(data), mf.Bytes)
-		}
-		if crc32.ChecksumIEEE(data) != mf.CRC32 {
-			return nil, fmt.Errorf("durable: checkpoint segment %s: CRC mismatch", mf.Name)
-		}
-		sha.Write(data)
-		switch mf.Role {
-		case roleFact:
-			if fact, err = dataset.DecodeTable(data); err != nil {
-				return nil, err
-			}
-		case roleDim:
-			t, err := dataset.DecodeTable(data)
-			if err != nil {
-				return nil, err
-			}
-			dims = append(dims, &dataset.Dimension{Table: t, FKColumn: mf.FKColumn})
-		case rolePerm:
-			if ck.Perm, err = decodePerm(data); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("durable: checkpoint segment %s: unknown role %q", mf.Name, mf.Role)
-		}
+		digest <- hex.EncodeToString(h.Sum(nil))
+	}()
+	ck, err := decodeSegments(fs, dir, m, toHash)
+	close(toHash)
+	sum := <-digest
+	if err != nil {
+		return nil, err
 	}
-	if got := hex.EncodeToString(sha.Sum(nil)); got != m.ContentSHA256 {
+	if sum != m.ContentSHA256 {
 		return nil, fmt.Errorf("durable: checkpoint content digest mismatch")
 	}
+	fact := ck.DB.Fact
 	if fact == nil {
 		return nil, fmt.Errorf("durable: checkpoint has no fact segment")
 	}
@@ -281,7 +405,44 @@ func loadCheckpoint(fs FS, dir string) (*Checkpoint, error) {
 	if len(ck.Perm) > fact.NumRows() {
 		return nil, fmt.Errorf("durable: checkpoint permutation has %d entries for %d rows", len(ck.Perm), fact.NumRows())
 	}
-	ck.DB = &dataset.Database{Fact: fact, Dimensions: dims}
+	return ck, nil
+}
+
+// decodeSegments reads, size- and CRC-checks and decodes m's segments in
+// order, sending each segment's bytes to toHash before decoding it.
+func decodeSegments(fs FS, dir string, m Manifest, toHash chan<- []byte) (*Checkpoint, error) {
+	ck := &Checkpoint{Manifest: m, DB: &dataset.Database{}}
+	for _, mf := range m.Files {
+		data, err := fs.ReadFile(filepath.Join(dir, mf.Name))
+		if err != nil {
+			return nil, fmt.Errorf("durable: checkpoint segment %s: %w", mf.Name, err)
+		}
+		if int64(len(data)) != mf.Bytes {
+			return nil, fmt.Errorf("durable: checkpoint segment %s: %d bytes, manifest says %d", mf.Name, len(data), mf.Bytes)
+		}
+		toHash <- data
+		if crc32.ChecksumIEEE(data) != mf.CRC32 {
+			return nil, fmt.Errorf("durable: checkpoint segment %s: CRC mismatch", mf.Name)
+		}
+		switch mf.Role {
+		case roleFact:
+			if ck.DB.Fact, err = dataset.DecodeTable(data); err != nil {
+				return nil, err
+			}
+		case roleDim:
+			t, err := dataset.DecodeTable(data)
+			if err != nil {
+				return nil, err
+			}
+			ck.DB.Dimensions = append(ck.DB.Dimensions, &dataset.Dimension{Table: t, FKColumn: mf.FKColumn})
+		case rolePerm:
+			if ck.Perm, err = decodePerm(data); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, fmt.Errorf("durable: checkpoint segment %s: unknown role %q", mf.Name, mf.Role)
+		}
+	}
 	return ck, nil
 }
 

@@ -133,12 +133,12 @@ func TestPartitionKernelMatchesReference(t *testing.T) {
 				if !bytes.Equal(dataset.EncodeTable(got[i].Fact), dataset.EncodeTable(want[i])) {
 					t.Fatalf("rows=%d n=%d: partition %d differs from reference under EncodeTable", rows, n, i)
 				}
-				one, err := partitionOf(db, n, i)
+				one, err := PartitionOf(db, n, i)
 				if err != nil {
-					t.Fatalf("partitionOf: %v", err)
+					t.Fatalf("PartitionOf: %v", err)
 				}
 				if !bytes.Equal(dataset.EncodeTable(one.Fact), dataset.EncodeTable(want[i])) {
-					t.Fatalf("rows=%d n=%d: partitionOf(%d) differs from reference", rows, n, i)
+					t.Fatalf("rows=%d n=%d: PartitionOf(%d) differs from reference", rows, n, i)
 				}
 				if sizes := partitionSizes(db, n); sizes[i] != want[i].NumRows() {
 					t.Fatalf("rows=%d n=%d: partitionSizes[%d] = %d, want %d", rows, n, i, sizes[i], want[i].NumRows())

@@ -38,7 +38,7 @@ func (co *Coordinator) AddReplicaAddr(part int, be engine.Engine, addr string) e
 	ordinal := len(co.sets[part])
 	co.mu.Unlock()
 
-	partDB, err := partitionOf(base, nParts, part)
+	partDB, err := PartitionOf(base, nParts, part)
 	if err != nil {
 		return err
 	}

@@ -159,9 +159,9 @@ func Partition(db *dataset.Database, n int) ([]*dataset.Database, error) {
 	return materializeParts(db, assignRows(db.Fact, n, partitionWorkers(db.Fact.NumRows())))
 }
 
-// partitionOf derives partition i of an n-way Partition of db alone: the
+// PartitionOf derives partition i of an n-way Partition of db alone: the
 // same assignment, with only that partition materialized.
-func partitionOf(db *dataset.Database, n, i int) (*dataset.Database, error) {
+func PartitionOf(db *dataset.Database, n, i int) (*dataset.Database, error) {
 	if n <= 0 || i < 0 || i >= n {
 		return nil, fmt.Errorf("shard: partition %d of %d out of range", i, n)
 	}
